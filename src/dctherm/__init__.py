@@ -14,7 +14,7 @@ from .energy import (Activity, ComputingBreakdown, DynamicEnergyParams,
                      processor_power, total_power)
 from .engine import (SimulationReport, SimulationState, check_sla,
                      migration_downtime, poisson_arrivals, run, run_once,
-                     run_replicates, step)
+                     step)
 from .gru import FeatureNorm, GruLayer, GruModel, gru_forward
 from .model import (DataCenterConfig, HostSpec, HostState,
                     UtilizationSnapshot, VmSpec, VmState, Workload,
@@ -28,8 +28,7 @@ from .predictor import (FanModel, TelemetryRecord, TrainReport,
                         train_predictor)
 from .scheduler import (PlacementAction, Policy, QueueSet, Snapshot,
                         classify_and_enqueue, get_policy, register_policy,
-                        registered_policies, run_policy, schedule_round,
-                        select_vm_for_host)
+                        registered_policies, run_policy, schedule_round)
 from .thermal import (ThermalClass, ThermalParams, VmThresholds, classify_vm,
                       cpu_temperature, vm_delta_temperature, vm_thresholds)
 from .traceio import (TelemetryDataset, UtilizationTrace, generate_workloads,

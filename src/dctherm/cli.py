@@ -12,9 +12,8 @@ import sys
 import numpy as np
 
 from . import engine, predictor, traceio
-from .errors import (DcthermError, DimensionMismatch, DomainError,
-                     InvalidConfig, IoError, NonFiniteLoss, ParseError,
-                     UnknownPolicy)
+from .errors import (DcthermError, DomainError, InvalidConfig, IoError,
+                     NonFiniteLoss, ParseError, UnknownPolicy)
 from .model import WorkloadGenConfig, load_config
 from .scheduler import registered_policies
 
@@ -163,7 +162,7 @@ def main(argv=None):
     except (IoError, ParseError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NonFiniteLoss, DomainError, DimensionMismatch) as exc:
+    except (NonFiniteLoss, DomainError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except DcthermError as exc:

@@ -3,7 +3,11 @@
 Each step covers one interval and runs, in order: workload arrivals, task
 -> VM mapping, VM placement by the active policy (with migration
 accounting), power computation and energy integration, host temperature
-update, and task progress / SLA checks. One replicate is one
+update, and task progress / SLA checks. A step does only the work its
+outputs read: the predicted temperature change (delta-T) that the
+scheduler classifies on is computed only for the VMs awaiting placement,
+and each host's utilization is carried from one step's power phase to the
+next step's VM refresh instead of being summed again. One replicate is one
 single-threaded deterministic loop; replicates use seeds derived from the
 base seed and are merged in index order, so results depend only on
 (config, seed).
@@ -23,7 +27,6 @@ from .traceio import generate_workloads
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
-STREAM_FANS = 2
 
 
 def poisson_arrivals(lam, rng):
@@ -90,18 +93,23 @@ class SimulationState:
             host = HostState(spec=spec, current_temp_c=spec.thermal.t_initial_c)
             self.hosts.append(host)
             self.temp_series[spec.id] = []
-        hosts_by_id = {h.id: h for h in self.hosts}
+        self._hosts_by_id = {h.id: h for h in self.hosts}
         for spec in self.cfg.vms:
             vm = VmState(spec=spec)
             self.vms[spec.id] = vm
             if spec.host_id is not None:
                 vm.host_id = spec.host_id
-                hosts_by_id[spec.host_id].placed_vms.append(spec.id)
+                self._hosts_by_id[spec.host_id].placed_vms.append(spec.id)
             else:
                 self.waiting.append(spec.id)
+        # Host utilization as the last power phase computed it (None before
+        # the first step); the next refresh reads it.
+        self.host_util = None
+        # Least utilized host at the last refresh: unplaced VMs are scored
+        # against it.
+        self.fallback_host = None
         self.rng_arrivals = np.random.default_rng([self.seed, STREAM_ARRIVALS])
         self.rng_workload = np.random.default_rng([self.seed, STREAM_WORKLOAD])
-        self.rng_fans = np.random.default_rng([self.seed, STREAM_FANS])
         self.lambda_per_interval = derive_lambda(self.cfg)
         self.thresholds = thermal.vm_thresholds(self.cfg.hosts[0].thermal
                                                 if self.cfg.hosts else
@@ -113,7 +121,7 @@ class SimulationState:
 
     @property
     def host_by_id(self):
-        return {h.id: h for h in self.hosts}
+        return self._hosts_by_id
 
 
 def load_trace_assignments(trace_dir, vm_ids):
@@ -160,53 +168,81 @@ def _host_utilization(state, host):
     return min(1.0, demand / host.spec.total_mips)
 
 
+def _scoring_host(state, vm):
+    """Host a VM's power share and delta-T are assessed against: its own
+    (or, once evicted, its last) host, else the least utilized one."""
+    return state.host_by_id.get(vm.host_id) if vm.host_id \
+        else state.fallback_host
+
+
 def _refresh_vm_views(state):
-    """Recompute each VM's utilization snapshot, power share and predicted
-    delta-T from its current reservations."""
+    """Recompute each VM's utilization snapshot and power share from its
+    current reservations; the mapper sorts on both. Delta-T is left to
+    _predict_delta_t, which runs only for the VMs awaiting placement."""
     from .model import UtilizationSnapshot
 
-    hosts = state.host_by_id
-    mode = state.cfg.thermal_mode
-    dt = state.cfg.interval_s
-    host_util = {h.id: _host_utilization(state, h) for h in state.hosts}
-    fallback = min(state.hosts, key=lambda h: (host_util[h.id], h.id)) \
+    host_util = state.host_util
+    if host_util is None:
+        host_util = {h.id: _host_utilization(state, h) for h in state.hosts}
+    state.fallback_host = min(state.hosts,
+                              key=lambda h: (host_util[h.id], h.id)) \
         if state.hosts else None
-    def clamp(value, hi):
-        return min(hi, max(0.0, value))
-
-    for vm in state.vms.values():
+    base_w = {h.id: energy.dynamic_power(host_util[h.id], h.spec.power.dyn)
+              for h in state.hosts}
+    step_index = state.clock_s // state.cfg.interval_s
+    for vm_id, vm in state.vms.items():
         spec = vm.spec
-        if vm.id in state.traces:
+        # A zero reservation reads exactly 0.0, so idle VMs (most of them on
+        # most steps) skip the divisions.
+        trace = state.traces.get(vm_id)
+        if trace is not None:
             # Trace-driven load: the replayed CPU percent stands in for the
             # reservation-derived demand.
-            resource = trace_utilization(state.traces[vm.id],
-                                         state.clock_s // dt)
+            resource = trace_utilization(trace, step_index)
+        elif vm.reserved_mips:
+            resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
         else:
-            resource = clamp(vm.reserved_mips / spec.mips, 1.0)
-        vm.util = UtilizationSnapshot(
-            resource=resource,
-            memory_pct=clamp(100.0 * vm.reserved_ram_mb / spec.ram_mb, 100.0),
-            disk_pct=vm.util.disk_pct,
-            network_pct=clamp(100.0 * vm.reserved_bw_bps / spec.bandwidth_bps, 100.0),
-        )
-        host = hosts.get(vm.host_id) if vm.host_id else fallback
+            resource = 0.0
+        memory_pct = min(100.0, max(0.0, 100.0 * vm.reserved_ram_mb
+                                    / spec.ram_mb)) \
+            if vm.reserved_ram_mb else 0.0
+        network_pct = min(100.0, max(0.0, 100.0 * vm.reserved_bw_bps
+                                     / spec.bandwidth_bps)) \
+            if vm.reserved_bw_bps else 0.0
+        util = vm.util
+        if (resource != util.resource or memory_pct != util.memory_pct
+                or network_pct != util.network_pct):
+            vm.util = UtilizationSnapshot(
+                resource=resource, memory_pct=memory_pct,
+                disk_pct=util.disk_pct, network_pct=network_pct)
+        # Waiting VMs are assessed at full demand; placed ones at their
+        # current reservation level. A zero share adds exactly 0.0 W
+        # (dynamic_power(u) - dynamic_power(u)), so it skips the power model.
+        share = resource if vm.host_id else 1.0
+        host = _scoring_host(state, vm) if share else None
         if host is None:
-            vm.delta_t_c = 0.0
             vm.e_total_w = 0.0
             continue
-        base_u = host_util[host.id]
-        # Waiting VMs are assessed at full demand; placed ones at their
-        # current reservation level.
-        u_share = spec.mips * (vm.util.resource if vm.host_id else 1.0) \
-            / host.spec.total_mips
-        dyn = host.spec.power.dyn
-        base_w = energy.dynamic_power(base_u, dyn)
-        with_vm = energy.dynamic_power(min(1.0, base_u + u_share), dyn)
-        vm_power = max(0.0, with_vm - base_w)
-        vm.e_total_w = vm_power
+        u_share = spec.mips * share / host.spec.total_mips
+        with_vm = energy.dynamic_power(min(1.0, host_util[host.id] + u_share),
+                                       host.spec.power.dyn)
+        vm.e_total_w = max(0.0, with_vm - base_w[host.id])
+
+
+def _predict_delta_t(state):
+    """Predicted temperature change of each VM awaiting placement: its
+    power share, added to the draw of the host the refresh scored it
+    against. Eviction changes none of these inputs."""
+    mode = state.cfg.thermal_mode
+    dt = state.cfg.interval_s if mode == thermal.MODE_TIME_DEPENDENT else None
+    for vm_id in state.waiting:
+        vm = state.vms[vm_id]
+        host = _scoring_host(state, vm)
+        if host is None:
+            vm.delta_t_c = 0.0
+            continue
         vm.delta_t_c = thermal.vm_delta_temperature(
-            vm_power, host.dynamic_w, host.spec.thermal, mode,
-            dt if mode == thermal.MODE_TIME_DEPENDENT else None)
+            vm.e_total_w, host.dynamic_w, host.spec.thermal, mode, dt)
 
 
 def _apply_actions(state, actions):
@@ -282,6 +318,7 @@ def step(state):
                     state.waiting.append(vm_id)
                 state.events.append((clock, "overheat-evict", host.id))
     if state.waiting:
+        _predict_delta_t(state)
         snapshot = scheduler.Snapshot(
             hosts=state.hosts, vms=state.vms, waiting=list(state.waiting),
             thresholds=state.thresholds, interval_s=interval)
@@ -294,8 +331,9 @@ def step(state):
                 state.events.append((clock, "overheat-unresolved", vm_id))
 
     # 4. energy + 5. temperature per host
+    state.host_util = {}
     for host in state.hosts:
-        u = _host_utilization(state, host)
+        u = state.host_util[host.id] = _host_utilization(state, host)
         busy = any(state.vms[v].reserved_mips > 0 for v in host.placed_vms)
         active = energy.Activity(processor=bool(host.placed_vms), storage=busy,
                                  memory=busy, network=busy, extra=busy)
@@ -432,7 +470,3 @@ def run(cfg):
     first.replicate_rows = rows
     return first
 
-
-def run_replicates(cfg, replicates=10):
-    """Replicated batch: rerun with derived seeds, ten times by default."""
-    return run(dataclasses.replace(cfg, replicates=replicates))

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from .energy import (Activity, CoolingPower, DynamicEnergyParams, ExtraPower,
                      MemoryPower, NetworkPower, PowerParams, StoragePower)
 from .errors import InvalidConfig, IoError
+from .scheduler import registered_policies
 from .thermal import MODES, ThermalClass, ThermalParams
-
-POLICIES = ("fcfs", "utilization", "thermal", "thermal+utilization")
 
 
 @dataclass(frozen=True)
@@ -212,6 +211,9 @@ def validate_config(cfg):
         raise InvalidConfig("seed", "must fit in 64 bits")
     if cfg.thermal_mode not in MODES:
         raise InvalidConfig("thermal_mode", f"must be one of {MODES}")
+    if cfg.policy not in registered_policies():
+        raise InvalidConfig("policy", f"unknown policy {cfg.policy!r}; "
+                                      f"known: {registered_policies()}")
     if cfg.sla_slack < 0:
         raise InvalidConfig("sla_slack", "must be >= 0")
     if cfg.replicates < 1:
@@ -367,7 +369,7 @@ def config_digest(cfg):
 __all__ = [
     "Activity", "DataCenterConfig", "HostSpec", "HostState",
     "UtilizationSnapshot", "VmSpec", "VmState", "Workload",
-    "WorkloadGenConfig", "POLICIES", "config_digest", "config_from_dict",
+    "WorkloadGenConfig", "config_digest", "config_from_dict",
     "config_to_dict", "default_datacenter", "load_config", "save_config",
     "validate_config",
 ]

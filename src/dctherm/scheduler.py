@@ -23,12 +23,11 @@ from .thermal import ThermalClass, classify_vm
 
 @dataclass
 class QueueSet:
-    """The three class queues plus the waiting queue, all FIFO."""
+    """The three class queues, all FIFO."""
 
     q_hot: deque = field(default_factory=deque)
     q_warm: deque = field(default_factory=deque)
     q_cold: deque = field(default_factory=deque)
-    waiting: deque = field(default_factory=deque)
 
     def queue(self, thermal_class):
         return {ThermalClass.HOT: self.q_hot,
@@ -71,21 +70,17 @@ class Snapshot:
         return mips, ram
 
 
-def classify_and_enqueue(vms, th, host_lookup=None):
+def classify_and_enqueue(vms, th):
     """Distribute VMs over the three class queues, preserving FIFO order.
 
     Every VM must carry a predicted temperature change (delta_t_c); the
-    host_lookup hook lets callers fill it lazily for VMs that miss one.
+    engine fills it for each VM awaiting placement.
     """
     qs = QueueSet()
     for vm in vms:
-        delta = vm.delta_t_c
-        if delta is None and host_lookup is not None:
-            delta = host_lookup(vm)
-            vm.delta_t_c = delta
-        if delta is None:
+        if vm.delta_t_c is None:
             raise InvalidConfig("delta_t_c", f"vm {vm.id} has no predicted delta-T")
-        vm.thermal_class = classify_vm(delta, th)
+        vm.thermal_class = classify_vm(vm.delta_t_c, th)
         qs.queue(vm.thermal_class).append(vm.id)
     return qs
 
@@ -100,15 +95,6 @@ def queue_preference(host_temp_c, tp):
     if host_temp_c >= midpoint:
         return (ThermalClass.WARM, ThermalClass.COLD, ThermalClass.HOT)
     return (ThermalClass.WARM, ThermalClass.HOT, ThermalClass.COLD)
-
-
-def select_vm_for_host(host_temp_c, tp, qs):
-    """Dequeue the head of the first non-empty queue in preference order."""
-    for thermal_class in queue_preference(host_temp_c, tp):
-        q = qs.queue(thermal_class)
-        if q:
-            return q.popleft()
-    return None
 
 
 def schedule_round(snapshot, qs, tie_break="id"):

@@ -85,26 +85,25 @@ def network_utilization(data_bits, bandwidth_bps, interval_s):
     return pct
 
 
-def _snapshot_key(item, decreasing):
-    u = item.util
-    key = (u.resource, u.memory_pct, u.disk_pct, u.network_pct)
-    return tuple(-v for v in key) if decreasing else key
-
-
 def utilization_sort(items, is_vm=False, decreasing=False):
     """Order VMs or tasks for the mapper.
 
-    VMs are first ordered by energy draw ascending, then (stably) by the
-    utilization chain; tasks skip the energy pass. The chain is resource
-    utilization with memory, disk, network breaking ties, all in the
-    direction of ``decreasing``. Items need a ``.util`` snapshot, VMs also
+    The key is the utilization chain: resource utilization with memory,
+    disk, network breaking ties, all in the direction of ``decreasing``.
+    VMs break remaining ties by energy draw ascending, which orders them as
+    a stable energy sort followed by a stable chain sort would. Equal keys
+    keep their input order. Items need a ``.util`` snapshot, VMs also
     ``.e_total_w``.
     """
-    out = list(items)
+    sign = -1.0 if decreasing else 1.0
+
+    def chain(u):
+        return (sign * u.resource, sign * u.memory_pct, sign * u.disk_pct,
+                sign * u.network_pct)
+
     if is_vm:
-        out.sort(key=lambda v: v.e_total_w)
-    out.sort(key=lambda it: _snapshot_key(it, decreasing))
-    return out
+        return sorted(items, key=lambda v: (*chain(v.util), v.e_total_w))
+    return sorted(items, key=lambda it: chain(it.util))
 
 
 @dataclass(frozen=True)
@@ -146,40 +145,29 @@ def task_views(workloads, vms, interval_s=300):
     return views
 
 
-def capacity_suitability(task, residual):
-    """Default "task fits VM" rule: every residual covers the demand."""
-    mips, ram, bw = residual
-    return (task.mips_requested <= mips
-            and task.ram_mb <= ram
-            and getattr(task, "bandwidth_bps_required", 0.0) <= bw)
-
-
-def map_workloads(tasks, vms, suitability=None):
-    """Greedy mapping of tasks onto VMs.
+def map_workloads(tasks, vms):
+    """Greedy mapping of TaskViews onto VMs.
 
     Tasks are walked in ascending estimated-demand order, VMs in descending
-    utilization order; each task lands on the first VM whose residual
-    capacity covers it and the residual is debited immediately. Tasks that
-    fit nowhere end up in ``unassigned``. Inputs are not mutated.
+    utilization order; each task lands on the first VM whose residual MIPS,
+    RAM and bandwidth all cover it, and the residual is debited
+    immediately. Tasks that fit nowhere end up in ``unassigned``. Inputs
+    are not mutated.
     """
-    if suitability is None:
-        suitability = capacity_suitability
-    ordered_tasks = utilization_sort(tasks, is_vm=False, decreasing=False)
-    ordered_vms = utilization_sort(vms, is_vm=True, decreasing=True)
-    residual = {
-        vm.id: [vm.spec.mips - vm.reserved_mips,
-                vm.spec.ram_mb - vm.reserved_ram_mb,
-                vm.spec.bandwidth_bps - vm.reserved_bw_bps]
-        for vm in ordered_vms
-    }
+    slots = [(vm.id, [vm.spec.mips - vm.reserved_mips,
+                      vm.spec.ram_mb - vm.reserved_ram_mb,
+                      vm.spec.bandwidth_bps - vm.reserved_bw_bps])
+             for vm in utilization_sort(vms, is_vm=True, decreasing=True)]
     result = Assignment()
-    for task in ordered_tasks:
-        for vm in ordered_vms:
-            if suitability(task, residual[vm.id]):
-                residual[vm.id][0] -= task.mips_requested
-                residual[vm.id][1] -= task.ram_mb
-                residual[vm.id][2] -= getattr(task, "bandwidth_bps_required", 0.0)
-                result.assigned.append((task.id, vm.id))
+    for task in utilization_sort(tasks, is_vm=False, decreasing=False):
+        mips, ram, bw = (task.mips_requested, task.ram_mb,
+                         task.bandwidth_bps_required)
+        for vm_id, residual in slots:
+            if mips <= residual[0] and ram <= residual[1] and bw <= residual[2]:
+                residual[0] -= mips
+                residual[1] -= ram
+                residual[2] -= bw
+                result.assigned.append((task.id, vm_id))
                 break
         else:
             result.unassigned.append(task.id)

@@ -6,7 +6,13 @@ a second reading of the same pseudocode, not against themselves.
 """
 
 from dctherm.thermal import ThermalClass
-from dctherm.utilization import capacity_suitability
+
+
+def fits(task, residual):
+    """A task fits a VM when every residual covers its demand."""
+    mips, ram, bw = residual
+    return (task.mips_requested <= mips and task.ram_mb <= ram
+            and task.bandwidth_bps_required <= bw)
 
 
 def oracle_sort(items, vm, decreasing):
@@ -43,7 +49,7 @@ def oracle_map(views, vms):
     assigned, unassigned = [], []
     for t in ordered_tasks:
         for v in ordered_vms:
-            if capacity_suitability(t, residual[v.id]):
+            if fits(t, residual[v.id]):
                 residual[v.id][0] -= t.mips_requested
                 residual[v.id][1] -= t.ram_mb
                 residual[v.id][2] -= t.bandwidth_bps_required

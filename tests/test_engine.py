@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dctherm import energy, engine
+from dctherm import energy, engine, thermal
 from dctherm.engine import (SimulationState, check_sla, migration_downtime,
                             poisson_arrivals, run, run_once, step)
 from dctherm.errors import DomainError
@@ -269,3 +269,29 @@ def test_unplaced_vms_get_allocated_by_policy():
     assert not state.waiting
     placed = sum(len(h.placed_vms) for h in state.hosts)
     assert placed == 4
+
+
+def test_delta_t_computed_only_for_waiting_vms(monkeypatch):
+    calls = []
+    real = thermal.vm_delta_temperature
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "vm_delta_temperature", counting)
+    hosts = (HostSpec(id="pm-0"), HostSpec(id="pm-1"))
+    vms = tuple(VmSpec(id=f"vm-{i}") for i in range(8))   # all unplaced
+    cfg = validate_config(DataCenterConfig(
+        hosts=hosts, vms=vms, horizon_s=3000, policy="thermal",
+        workload=WorkloadGenConfig(lambda_per_interval=4.0)))
+    state = SimulationState(cfg=cfg, seed=2)
+    waiting = len(state.waiting)
+    step(state)                      # initial placement
+    assert waiting == 8 and len(calls) == waiting
+    assert not state.waiting
+    calls.clear()
+    for _ in range(cfg.step_count - 1):
+        step(state)                  # fully placed, nothing evicted
+    assert not any(kind == "overheat-evict" for _, kind, _ in state.events)
+    assert calls == []

@@ -93,6 +93,21 @@ def test_unknown_keys_fail_fast():
         model.config_from_dict({"hosts": [{"id": "pm-0", "sockets": 2}]})
 
 
+def test_unknown_policy_fails_at_load():
+    # All VMs placed and no workload: the scheduler never fires, so the
+    # name would otherwise never be looked up.
+    data = {"hosts": [{"id": "pm-0"}],
+            "vms": [{"id": "vm-0", "host_id": "pm-0"}],
+            "horizon_s": 600, "policy": "no-such-policy"}
+    with pytest.raises(InvalidConfig) as err:
+        model.config_from_dict(data)
+    assert err.value.field == "policy"
+    cfg = dataclasses.replace(model.default_datacenter(horizon_s=600),
+                              policy="no-such-policy")
+    with pytest.raises(InvalidConfig):
+        model.validate_config(cfg)
+
+
 def test_presets_expand():
     cfg = model.config_from_dict({
         "hosts": [{"id": "pm-0", "thermal": "default", "power": "default"}],

@@ -7,7 +7,7 @@ from dctherm.model import HostSpec, HostState, VmSpec, VmState
 from dctherm.scheduler import (PlacementAction, Policy, QueueSet, Snapshot,
                                classify_and_enqueue, queue_preference,
                                registered_policies, run_policy,
-                               schedule_round, select_vm_for_host)
+                               schedule_round)
 from dctherm.thermal import ThermalClass, ThermalParams, VmThresholds
 
 TH = VmThresholds(theta_low_c=-55.5, theta_high_c=9.0)
@@ -76,43 +76,42 @@ def test_classify_requires_delta():
     vm = make_vm(0, None)
     with pytest.raises(InvalidConfig):
         classify_and_enqueue([vm], TH)
-    # host_lookup fills missing deltas instead
-    qs = classify_and_enqueue([make_vm(1, None)], TH, host_lookup=lambda v: 0.0)
-    assert list(qs.q_warm) == ["vm-1"]
 
 
 # --- selection -------------------------------------------------------------
 
-def queues(hot=(), warm=(), cold=()):
+def first_pick(host_temp_c, hot=(), warm=(), cold=()):
+    """VM a lone host at host_temp_c takes first from the given queues."""
     qs = QueueSet()
     qs.q_hot.extend(hot)
     qs.q_warm.extend(warm)
     qs.q_cold.extend(cold)
-    return qs
+    vms = {vm_id: VmState(spec=VmSpec(id=vm_id), delta_t_c=0.0)
+           for vm_id in (*hot, *warm, *cold)}
+    snap = Snapshot(hosts=[make_host(0, host_temp_c)], vms=vms,
+                    waiting=list(vms), thresholds=TH)
+    actions = schedule_round(snap, qs)
+    return actions[0].vm_id if actions else None
 
 
 def test_select_hot_host_prefers_cold_queue():
-    qs = queues(hot=["h1"], warm=["w1"], cold=["c1", "c2"])
-    assert select_vm_for_host(75.0, ThermalParams(), qs) == "c1"
+    assert first_pick(75.0, hot=["h1"], warm=["w1"], cold=["c1", "c2"]) == "c1"
 
 
 def test_select_hot_host_falls_back_to_warm():
-    qs = queues(hot=["h1"], warm=["w1"])
-    assert select_vm_for_host(75.0, ThermalParams(), qs) == "w1"
+    assert first_pick(75.0, hot=["h1"], warm=["w1"]) == "w1"
 
 
 def test_select_cold_host_prefers_hot_queue():
-    qs = queues(hot=["h1"], warm=["w1"], cold=["c1"])
-    assert select_vm_for_host(20.0, ThermalParams(), qs) == "h1"
+    assert first_pick(20.0, hot=["h1"], warm=["w1"], cold=["c1"]) == "h1"
 
 
 def test_select_empty_queues_returns_none():
-    assert select_vm_for_host(50.0, ThermalParams(), QueueSet()) is None
+    assert first_pick(50.0) is None
 
 
 def test_select_midband_prefers_warm():
-    qs = queues(hot=["h1"], warm=["w1"], cold=["c1"])
-    assert select_vm_for_host(50.0, ThermalParams(), qs) == "w1"
+    assert first_pick(50.0, hot=["h1"], warm=["w1"], cold=["c1"]) == "w1"
 
 
 def test_midband_side_preference():
