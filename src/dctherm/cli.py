@@ -13,7 +13,7 @@ import numpy as np
 
 from . import engine, predictor, traceio
 from .errors import (DcthermError, DomainError, InvalidConfig, IoError,
-                     NonFiniteLoss, ParseError, UnknownPolicy)
+                     NonFiniteLoss, ParseError, SchemaError, UnknownPolicy)
 from .model import WorkloadGenConfig, load_config
 from .scheduler import registered_policies
 
@@ -140,6 +140,12 @@ def _cmd_report(args):
     import os
 
     summary = traceio.summarize_per_step(os.path.join(args.run_dir, "per_step.csv"))
+    # SVR as run_once defines it, counting tasks unfinished at the horizon;
+    # per_step.csv's svr_cum counts only finished tasks.
+    rows = traceio.read_summary_csv(os.path.join(args.run_dir, "summary.csv"))
+    if "replicate-0" not in rows:
+        raise SchemaError("summary.csv has no replicate-0 row")
+    summary["svr"] = rows["replicate-0"]["svr"]
     for key in sorted(summary):
         print(f"{key}={summary[key]}")
     return EXIT_OK

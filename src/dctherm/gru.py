@@ -12,9 +12,22 @@ first in each timestep slice):
 With all weights zero both gates are 0.5 and the candidate is 0, so the
 hidden state halves every step - a closed form the tests lean on.
 
+Each layer stores its weights gate-stacked on a leading axis, in z, r, c
+order: ``w`` is (3, in, H), ``u`` is (3, H, H) and ``b`` is (3, 1, H). The
+nine names of PARAM_NAMES (``w_z = w[0]``, ``b_z = b[0, 0]``, ...) are
+contiguous views into those stacks, so parameter iteration and the model
+file see nine separate tensors. One timestep is a stacked ``x @ w`` for
+all three gates, one ``h @ u[:2]`` for z and r, and a single sigmoid over
+the z|r block; every intermediate is written with ``out=`` into buffers
+allocated once per call, so the time loop allocates no full-size arrays.
+
+The gate nonlinearity is ``1 / (1 + exp(-x))`` evaluated in place. For
+x below about -709 ``exp(-x)`` overflows to inf and the result is exactly
+0.0; that overflow is expected and silenced.
+
 The backward pass is a hand-derived backpropagation through time that
-returns a gradient for every weight tensor; it is checked against central
-finite differences.
+returns a gradient for every weight tensor; the tests check it against
+central finite differences and against a nine-tensor reference layer.
 """
 
 import numpy as np
@@ -24,14 +37,13 @@ from .errors import DimensionMismatch
 PARAM_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c")
 
 
-def sigmoid(x):
-    # Piecewise form avoids exp overflow for large negative inputs.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x, out=None):
+    """Logistic function; with ``out=x`` it overwrites its input."""
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
 
 
 def orthogonal_matrix(rng, n):
@@ -40,34 +52,34 @@ def orthogonal_matrix(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def gate_views(w, u, b):
+    """The nine per-gate tensors of a stacked (w, u, b), in PARAM_NAMES
+    order."""
+    return (w[0], u[0], b[0, 0], w[1], u[1], b[1, 0], w[2], u[2], b[2, 0])
+
+
 class GruLayer:
-    """One gated recurrent layer; holds nine weight tensors."""
+    """One gated recurrent layer: gate-stacked weights with the nine
+    per-gate tensors exposed as views."""
 
     def __init__(self, input_size, hidden_size, rng=None):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        if rng is None:
-            self.w_z = np.zeros((input_size, hidden_size))
-            self.u_z = np.zeros((hidden_size, hidden_size))
-            self.w_r = np.zeros((input_size, hidden_size))
-            self.u_r = np.zeros((hidden_size, hidden_size))
-            self.w_c = np.zeros((input_size, hidden_size))
-            self.u_c = np.zeros((hidden_size, hidden_size))
-            self.b_z = np.zeros(hidden_size)
-        else:
+        self.w = np.zeros((3, input_size, hidden_size))
+        self.u = np.zeros((3, hidden_size, hidden_size))
+        self.b = np.zeros((3, 1, hidden_size))
+        if rng is not None:
             # Glorot input weights, orthogonal recurrent weights, and the
             # update gate biased open (+1) so depth does not mute signal
-            # early in training.
+            # early in training. Draw order: w_z, u_z, w_r, u_r, w_c, u_c.
             bound_in = np.sqrt(6.0 / (input_size + hidden_size))
-            self.w_z = rng.uniform(-bound_in, bound_in, (input_size, hidden_size))
-            self.u_z = orthogonal_matrix(rng, hidden_size)
-            self.w_r = rng.uniform(-bound_in, bound_in, (input_size, hidden_size))
-            self.u_r = orthogonal_matrix(rng, hidden_size)
-            self.w_c = rng.uniform(-bound_in, bound_in, (input_size, hidden_size))
-            self.u_c = orthogonal_matrix(rng, hidden_size)
-            self.b_z = np.ones(hidden_size)
-        self.b_r = np.zeros(hidden_size)
-        self.b_c = np.zeros(hidden_size)
+            for k in range(3):
+                self.w[k] = rng.uniform(-bound_in, bound_in,
+                                        (input_size, hidden_size))
+                self.u[k] = orthogonal_matrix(rng, hidden_size)
+            self.b[0] = 1.0
+        for name, view in zip(PARAM_NAMES, gate_views(self.w, self.u, self.b)):
+            setattr(self, name, view)
 
     def forward(self, xs, h0=None):
         """Run the recurrence over a (T, batch, input) sequence.
@@ -78,52 +90,107 @@ class GruLayer:
         if nin != self.input_size:
             raise DimensionMismatch(
                 f"layer expects {self.input_size} inputs, got {nin}")
-        hs = np.empty((T + 1, batch, self.hidden_size))
+        H = self.hidden_size
+        w, u, b = self.w, self.u, self.b
+        hs = np.empty((T + 1, batch, H))
         hs[0] = 0.0 if h0 is None else h0
-        zs = np.empty((T, batch, self.hidden_size))
-        rs = np.empty_like(zs)
-        cs = np.empty_like(zs)
-        ss = np.empty_like(zs)
+        gates = np.empty((T, 3, batch, H))    # z, r, c per step
+        ss = np.empty((T, batch, H))          # r * h per step
+        a = np.empty((3, batch, H))           # gate pre-activations
+        a_zr = a[:2]
+        uh = np.empty((2, batch, H))
+        tmp = np.empty((batch, H))
         for t in range(T):
-            x, h = xs[t], hs[t]
-            zs[t] = sigmoid(x @ self.w_z + h @ self.u_z + self.b_z)
-            rs[t] = sigmoid(x @ self.w_r + h @ self.u_r + self.b_r)
-            ss[t] = rs[t] * h
-            cs[t] = np.tanh(x @ self.w_c + ss[t] @ self.u_c + self.b_c)
-            hs[t + 1] = (1.0 - zs[t]) * h + zs[t] * cs[t]
-        cache = (xs, hs, zs, rs, cs, ss)
+            h, z_r, c, s = hs[t], gates[t, :2], gates[t, 2], ss[t]
+            np.matmul(xs[t], w, out=a)
+            np.matmul(h, u[:2], out=uh)
+            a_zr += uh
+            a_zr += b[:2]
+            sigmoid(a_zr, out=z_r)
+            z, r = z_r
+            np.multiply(r, h, out=s)
+            np.matmul(s, u[2], out=tmp)
+            a[2] += tmp
+            a[2] += b[2]
+            np.tanh(a[2], out=c)
+            h_next = hs[t + 1]
+            np.subtract(1.0, z, out=tmp)
+            np.multiply(tmp, h, out=h_next)
+            np.multiply(z, c, out=tmp)
+            h_next += tmp
+        cache = (xs, hs, gates, ss)
         return hs[1:], cache
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         """Backpropagate (T, batch, hidden) output gradients through time.
 
-        Returns (parameter gradients, input-sequence gradients).
+        Returns (the nine parameter gradients in PARAM_NAMES order,
+        input-sequence gradients); the latter is None when ``input_grad``
+        is false, as for the first layer, whose inputs are data.
         """
-        xs, hs, zs, rs, cs, ss = cache
-        T = xs.shape[0]
-        grads = {name: np.zeros_like(getattr(self, name)) for name in PARAM_NAMES}
-        grad_xs = np.empty_like(xs)
-        gh = np.zeros_like(hs[0])
+        xs, hs, gates, ss = cache
+        T, batch, nin = xs.shape
+        H = self.hidden_size
+        u_t = self.u.transpose(0, 2, 1)
+        w_t = self.w.transpose(0, 2, 1)
+        gw = np.zeros_like(self.w)
+        gu = np.zeros_like(self.u)
+        gb = np.zeros_like(self.b)
+        gw_step = np.empty_like(gw)
+        gu_step = np.empty_like(gu)
+        gb_step = np.empty_like(gb)
+        ones = np.ones((1, batch))
+        ga = np.empty((3, batch, H))          # gate pre-activation gradients
+        ga_z, ga_r, ga_c = ga
+        ga_zr = ga[:2]
+        g = np.empty((batch, H))
+        gs = np.empty((batch, H))
+        gh = np.zeros((batch, H))
+        uh = np.empty((2, batch, H))
+        tmp = np.empty((batch, H))
+        grad_xs = np.empty_like(xs) if input_grad else None
+        gx = np.empty((3, batch, nin)) if input_grad else None
         for t in range(T - 1, -1, -1):
-            g = grad_out[t] + gh
-            x, h, z, r, c, s = xs[t], hs[t], zs[t], rs[t], cs[t], ss[t]
-            ga_c = g * z * (1.0 - c * c)
-            gs = ga_c @ self.u_c.T
-            ga_r = gs * h * r * (1.0 - r)
-            ga_z = g * (c - h) * z * (1.0 - z)
-            grads["w_z"] += x.T @ ga_z
-            grads["u_z"] += h.T @ ga_z
-            grads["b_z"] += ga_z.sum(axis=0)
-            grads["w_r"] += x.T @ ga_r
-            grads["u_r"] += h.T @ ga_r
-            grads["b_r"] += ga_r.sum(axis=0)
-            grads["w_c"] += x.T @ ga_c
-            grads["u_c"] += s.T @ ga_c
-            grads["b_c"] += ga_c.sum(axis=0)
-            grad_xs[t] = ga_z @ self.w_z.T + ga_r @ self.w_r.T + ga_c @ self.w_c.T
-            gh = (g * (1.0 - z) + gs * r
-                  + ga_z @ self.u_z.T + ga_r @ self.u_r.T)
-        return grads, grad_xs
+            np.add(grad_out[t], gh, out=g)
+            x, h, s = xs[t], hs[t], ss[t]
+            z, r, c = gates[t]
+            # ga_c = g * z * (1 - c * c)
+            np.multiply(g, z, out=ga_c)
+            np.multiply(c, c, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            ga_c *= tmp
+            np.matmul(ga_c, u_t[2], out=gs)
+            # ga_r = gs * h * r * (1 - r)
+            np.multiply(gs, h, out=ga_r)
+            ga_r *= r
+            np.subtract(1.0, r, out=tmp)
+            ga_r *= tmp
+            # ga_z = g * (c - h) * z * (1 - z)
+            np.subtract(c, h, out=tmp)
+            np.multiply(g, tmp, out=ga_z)
+            ga_z *= z
+            np.subtract(1.0, z, out=tmp)
+            ga_z *= tmp
+            np.matmul(x.T, ga, out=gw_step)
+            gw += gw_step
+            np.matmul(h.T, ga_zr, out=gu_step[:2])
+            np.matmul(s.T, ga_c, out=gu_step[2])
+            gu += gu_step
+            np.matmul(ones, ga, out=gb_step)
+            gb += gb_step
+            if input_grad:
+                np.matmul(ga, w_t, out=gx)
+                np.add(gx[0], gx[1], out=grad_xs[t])
+                grad_xs[t] += gx[2]
+            # gh = g * (1 - z) + gs * r + ga_z U_z^T + ga_r U_r^T, with
+            # tmp still holding 1 - z
+            np.multiply(g, tmp, out=gh)
+            np.multiply(gs, r, out=tmp)
+            gh += tmp
+            np.matmul(ga_zr, u_t[:2], out=uh)
+            gh += uh[0]
+            gh += uh[1]
+        return gate_views(gw, gu, gb), grad_xs
 
 
 class FeatureNorm:
@@ -207,19 +274,19 @@ class GruModel:
     def backward(self, cache, grad_y):
         """Gradients of a scalar objective given d(objective)/d(prediction).
 
-        grad_y: (batch,). Returns {"layers": [per-layer dict...],
-        "w_out": ..., "b_out": ...}.
+        grad_y: (batch,). Returns one gradient per trainable tensor, in
+        iter_params order.
         """
         caches, top_h = cache
-        batch = grad_y.shape[0]
         gw_out = top_h[-1].T @ grad_y
         gb_out = grad_y.sum()
         grad_seq = np.zeros_like(top_h)
         grad_seq[-1] = np.outer(grad_y, self.w_out)
         layer_grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            layer_grads[i], grad_seq = self.layers[i].backward(caches[i], grad_seq)
-        return {"layers": layer_grads, "w_out": gw_out, "b_out": gb_out}
+            layer_grads[i], grad_seq = self.layers[i].backward(
+                caches[i], grad_seq, input_grad=i > 0)
+        return [g for grads in layer_grads for g in grads] + [gw_out, gb_out]
 
     def predict_sequence(self, features):
         """One raw (T, n_features) sequence -> temperature in Celsius."""
@@ -251,47 +318,3 @@ def gru_forward(model, sequence):
     """Functional entry point: raw feature sequence in, degrees C out."""
     return model.predict_sequence(sequence)
 
-
-def finite_difference_gradients(model, xs, step=1e-5):
-    """Central finite differences of the summed normalized output with
-    respect to every weight tensor. Slow; for verification only."""
-    def objective():
-        return float(np.sum(model.forward_normalized(xs)))
-
-    out = {}
-    for name, param in model.iter_params():
-        if name == "b_out":
-            model.b_out += step
-            hi = objective()
-            model.b_out -= 2 * step
-            lo = objective()
-            model.b_out += step
-            out[name] = (hi - lo) / (2 * step)
-            continue
-        grad = np.zeros_like(param)
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + step
-            hi = objective()
-            param[idx] = orig - step
-            lo = objective()
-            param[idx] = orig
-            grad[idx] = (hi - lo) / (2 * step)
-            it.iternext()
-        out[name] = grad
-    return out
-
-
-def analytic_gradients(model, xs):
-    """Analytic counterpart of finite_difference_gradients (same keys)."""
-    y, cache = model.forward_normalized(xs, keep_cache=True)
-    grads = model.backward(cache, np.ones_like(y))
-    out = {}
-    for i, layer_grads in enumerate(grads["layers"]):
-        for name in PARAM_NAMES:
-            out[f"layers[{i}].{name}"] = layer_grads[name]
-    out["w_out"] = grads["w_out"]
-    out["b_out"] = grads["b_out"]
-    return out

@@ -227,8 +227,8 @@ def train_predictor(train_sequences, settings=TrainSettings(),
     yn = norm.normalize_target(y_raw)
     n = yn.shape[0]
 
-    velocity = {name: np.zeros_like(p) if isinstance(p, np.ndarray) else 0.0
-                for name, p in model.iter_params()}
+    velocity = [np.zeros_like(p) if isinstance(p, np.ndarray) else 0.0
+                for _, p in model.iter_params()]
     history = []
     for epoch in range(settings.epochs):
         pred, cache = model.forward_normalized(xs, keep_cache=True)
@@ -238,15 +238,10 @@ def train_predictor(train_sequences, settings=TrainSettings(),
             raise NonFiniteLoss(epoch, loss)
         history.append(loss)
         grads = model.backward(cache, (2.0 / n) * err)
-        flat = {}
-        for i, layer_grads in enumerate(grads["layers"]):
-            for name, g in layer_grads.items():
-                flat[f"layers[{i}].{name}"] = g
-        flat["w_out"] = grads["w_out"]
-        flat["b_out"] = grads["b_out"]
-        for name, param in model.iter_params():
-            v = settings.momentum * velocity[name] - settings.learning_rate * flat[name]
-            velocity[name] = v
+        del cache  # free this epoch's activations before the next forward
+        for i, (name, param) in enumerate(model.iter_params()):
+            v = settings.momentum * velocity[i] - settings.learning_rate * grads[i]
+            velocity[i] = v
             if name == "b_out":
                 model.b_out = model.b_out + v
             else:

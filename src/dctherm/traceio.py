@@ -264,7 +264,10 @@ def read_summary_csv(path):
 
 
 def summarize_per_step(path):
-    """Recompute run aggregates from a per_step.csv file."""
+    """Recompute run aggregates from a per_step.csv file.
+
+    SVR is not among them: the file's svr_cum counts finished tasks only,
+    while the run's SVR (summary.csv) also counts unfinished ones."""
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -278,18 +281,19 @@ def summarize_per_step(path):
         temps = {}
         energy_j = 0.0
         migrations = 0
-        svr = 0.0
         steps = 0
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(PER_STEP_HEADER):
+                raise ParseError(f"expected {len(PER_STEP_HEADER)} fields, "
+                                 f"got {len(row)}", line_no=row_no)
             try:
                 step = int(row[0])
                 temps.setdefault(row[2], []).append(float(row[3]))
                 energy_j = float(row[5])
                 migrations = int(row[6])
-                svr = float(row[7])
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(str(exc), line_no=row_no) from None
             steps = max(steps, step)
     all_temps = [t for series in temps.values() for t in series]
@@ -298,7 +302,6 @@ def summarize_per_step(path):
         "hosts": len(temps),
         "total_energy_kwh": energy_j / 3.6e6,
         "migrations": migrations,
-        "svr": svr,
         "temp_mean_c": sum(all_temps) / len(all_temps) if all_temps else 0.0,
         "temp_max_c": max(all_temps) if all_temps else 0.0,
     }

@@ -9,10 +9,11 @@ import numpy as np
 
 from dctherm import energy, engine, model, predictor, scheduler, thermal
 from dctherm import utilization
-from dctherm.gru import (GruLayer, GruModel, FeatureNorm, analytic_gradients,
-                         finite_difference_gradients)
+from dctherm.gru import GruLayer, GruModel, FeatureNorm
 from dctherm.model import (DataCenterConfig, HostSpec, VmSpec,
                            WorkloadGenConfig, validate_config)
+
+from oracles import analytic_gradients, finite_difference_gradients
 
 
 @contextmanager

@@ -59,6 +59,31 @@ def test_gen_workload_and_report_cycle(tmp_path, capsys):
     assert "total_energy_kwh=" in capsys.readouterr().out
 
 
+def test_report_prints_the_simulated_svr(tmp_path, capsys):
+    # 100 steps at 30 arrivals per step leave about a thousand tasks
+    # unfinished; the run's SVR counts them, per_step.csv's svr_cum does not.
+    cfg = default_datacenter(horizon_s=100 * 300,
+                             workload=WorkloadGenConfig(lambda_per_interval=30.0))
+    cfg_path = tmp_path / "dc.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    svr = traceio.read_summary_csv(run_dir / "summary.csv")["replicate-0"]["svr"]
+    assert svr > 0.3
+    assert cli.main(["report", "--in", str(run_dir)]) == 0
+    assert f"svr={svr}" in capsys.readouterr().out.splitlines()
+
+
+def test_report_without_summary_exit_3(tmp_path):
+    run_dir = tmp_path / "run"
+    cli.main(["simulate", "--config", str(write_config(tmp_path)),
+              "--out", str(run_dir)])
+    (run_dir / "summary.csv").unlink()
+    assert cli.main(["report", "--in", str(run_dir)]) == 3
+
+
 def test_report_missing_dir_exit_3(tmp_path):
     assert cli.main(["report", "--in", str(tmp_path / "ghost")]) == 3
 

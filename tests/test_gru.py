@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dctherm.errors import DimensionMismatch
-from dctherm.gru import (FeatureNorm, GruLayer, GruModel, analytic_gradients,
-                         finite_difference_gradients, gru_forward)
+from dctherm.gru import (PARAM_NAMES, FeatureNorm, GruLayer, GruModel,
+                         gate_views, gru_forward, orthogonal_matrix, sigmoid)
+
+from oracles import (ReferenceGruLayer, analytic_gradients,
+                     finite_difference_gradients, reference_sigmoid)
 
 UNIT_NORM = FeatureNorm(np.zeros(3), np.ones(3), 0.0, 1.0)
 
@@ -85,3 +90,82 @@ def test_default_stack_shape():
     assert model.hidden_sizes == (16, 16, 16, 16)
     assert model.layers[0].input_size == 9
     assert model.w_out.shape == (16,)
+
+
+@pytest.mark.parametrize("T, batch, nin, hidden, with_h0", [
+    (1, 1, 1, 1, False),
+    (1, 4, 3, 5, True),
+    (6, 1, 2, 3, False),
+    (5, 3, 7, 2, True),
+    (8, 20, 9, 16, False),
+    (4, 6, 4, 4, True),
+])
+def test_stacked_layer_matches_nine_tensor_reference(T, batch, nin, hidden,
+                                                     with_h0):
+    rng = np.random.default_rng(T * 100 + batch * 10 + hidden)
+    layer = GruLayer(nin, hidden, rng)
+    layer.b[...] = rng.uniform(-1, 1, layer.b.shape)
+    ref = ReferenceGruLayer(layer)
+    xs = rng.uniform(-1, 1, (T, batch, nin))
+    h0 = rng.uniform(-1, 1, (batch, hidden)) if with_h0 else None
+    grad_out = rng.uniform(-1, 1, (T, batch, hidden))
+
+    hs, cache = layer.forward(xs, h0=h0)
+    ref_hs, ref_cache = ref.forward(xs, h0=h0)
+    np.testing.assert_allclose(hs, ref_hs, rtol=0, atol=1e-12)
+    assert cache[0] is xs
+
+    grads, grad_xs = layer.backward(cache, grad_out)
+    ref_grads, ref_grad_xs = ref.backward(ref_cache, grad_out)
+    assert len(grads) == len(PARAM_NAMES)
+    for name, g in zip(PARAM_NAMES, grads):
+        assert g.shape == ref_grads[name].shape, name
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+    np.testing.assert_allclose(grad_xs, ref_grad_xs, rtol=0, atol=1e-12)
+
+    skipped, none = layer.backward(cache, grad_out, input_grad=False)
+    assert none is None
+    for g, kept in zip(skipped, grads):
+        np.testing.assert_array_equal(g, kept)
+
+
+def test_gate_names_are_views_of_the_stacks():
+    layer = GruLayer(3, 2, np.random.default_rng(0))
+    for name, view in zip(PARAM_NAMES, gate_views(layer.w, layer.u, layer.b)):
+        param = getattr(layer, name)
+        assert np.shares_memory(param, view) and param.flags.c_contiguous
+    layer.u_r += 1.0
+    np.testing.assert_array_equal(layer.u[1], layer.u_r)
+    assert layer.b_z.shape == (2,)
+    np.testing.assert_array_equal(layer.b_z, 1.0)
+
+
+def test_initialisation_keeps_the_draw_order():
+    # Per gate in z, r, c order: a Glorot input matrix, then an
+    # orthogonal recurrent matrix.
+    nin, hidden = 4, 3
+    layer = GruLayer(nin, hidden, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    bound = np.sqrt(6.0 / (nin + hidden))
+    for gate in "zrc":
+        np.testing.assert_array_equal(getattr(layer, f"w_{gate}"),
+                                      rng.uniform(-bound, bound, (nin, hidden)))
+        np.testing.assert_array_equal(getattr(layer, f"u_{gate}"),
+                                      orthogonal_matrix(rng, hidden))
+
+
+def test_sigmoid_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(np.array([-800.0, 800.0, -1e308, 1e308]))
+    np.testing.assert_array_equal(out, [0.0, 1.0, 0.0, 1.0])
+
+
+def test_sigmoid_matches_the_piecewise_form():
+    x = np.linspace(-40.0, 40.0, 4001)
+    np.testing.assert_allclose(sigmoid(x), reference_sigmoid(x),
+                               rtol=0, atol=1e-15)
+    buf = x.copy()
+    assert sigmoid(buf, out=buf) is buf
+    np.testing.assert_array_equal(buf, sigmoid(x))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,3 +195,21 @@ def test_model_file_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTAMODEL AT ALL")
     with pytest.raises(ParseError):
         load_model(path)
+
+
+def test_version_1_model_file_still_loads(tmp_path):
+    # model_v1.bin was written by the nine-tensor layer's save_model:
+    # GruModel.create(9, (3, 2), norm, seed=11) with b_out = 0.25. The
+    # JSON holds four raw (8, 9) windows and that model's predictions.
+    data = Path(__file__).parent / "data"
+    expected = json.loads((data / "model_v1_expected.json").read_text())
+    assert predictor.MODEL_VERSION == 1
+    model = load_model(data / "model_v1.bin")
+    assert model.layers[0].input_size == 9
+    assert model.hidden_sizes == (3, 2)
+    assert model.b_out == 0.25
+    preds = model.predict_batch(np.array(expected["features"]))
+    np.testing.assert_array_equal(preds, expected["predictions"])
+    path = tmp_path / "resaved.bin"
+    save_model(model, path)
+    assert path.read_bytes() == (data / "model_v1.bin").read_bytes()
