@@ -7,6 +7,9 @@ that relationship. A short run for demonstration; the full protocol
 (1100/100 windows, 2000 epochs) lives in tests/test_acceptance.py.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from dctherm import predictor
@@ -39,7 +42,8 @@ for p, a in list(zip(preds, y))[:8]:
           f"error {abs(p - a):4.2f} C")
 
 print("\n== weights round-trip through the binary model file ==")
-predictor.save_model(model, "/tmp/dctherm_demo_model.bin")
-loaded = predictor.load_model("/tmp/dctherm_demo_model.bin")
+model_path = os.path.join(tempfile.mkdtemp(prefix="dctherm_model_"), "model.bin")
+predictor.save_model(model, model_path)
+loaded = predictor.load_model(model_path)
 again = loaded.predict_batch(x)
 print(f"  max difference after reload: {np.abs(again - preds).max():.2e}")

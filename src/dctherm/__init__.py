@@ -15,7 +15,7 @@ from .energy import (Activity, ComputingBreakdown, DynamicEnergyParams,
 from .engine import (SimulationReport, SimulationState, check_sla,
                      migration_downtime, poisson_arrivals, run, run_once,
                      step)
-from .gru import FeatureNorm, GruLayer, GruModel, gru_forward
+from .gru import FeatureNorm, GruLayer, GruModel
 from .model import (DataCenterConfig, HostSpec, HostState,
                     UtilizationSnapshot, VmSpec, VmState, Workload,
                     WorkloadGenConfig, config_digest, config_from_dict,
@@ -26,9 +26,9 @@ from .predictor import (FanModel, TelemetryRecord, TrainReport,
                         prediction_accuracy, sample_fan_speeds, save_model,
                         sliding_windows, synthesize_telemetry,
                         train_predictor)
-from .scheduler import (PlacementAction, Policy, QueueSet, Snapshot,
-                        classify_and_enqueue, get_policy, register_policy,
-                        registered_policies, run_policy, schedule_round)
+from .scheduler import (PlacementAction, QueueSet, Snapshot,
+                        classify_and_enqueue, registered_policies, run_policy,
+                        schedule_round)
 from .thermal import (ThermalClass, ThermalParams, VmThresholds, classify_vm,
                       cpu_temperature, vm_delta_temperature, vm_thresholds)
 from .traceio import (TelemetryDataset, UtilizationTrace, generate_workloads,

@@ -3,11 +3,15 @@
 Each step covers one interval and runs, in order: workload arrivals, task
 -> VM mapping, VM placement by the active policy (with migration
 accounting), power computation and energy integration, host temperature
-update, and task progress / SLA checks. A step does only the work its
-outputs read: the predicted temperature change (delta-T) that the
-scheduler classifies on is computed only for the VMs awaiting placement,
-and each host's utilization is carried from one step's power phase to the
-next step's VM refresh instead of being summed again. One replicate is one
+update, and task progress / SLA checks. Before placement, a policy whose
+``scheduler.POLICIES`` entry says so evicts every VM of a host above its
+t_over_c. Every VM is in exactly one of ``state.waiting`` or one host's
+``placed_vms``, so a VM is placed exactly when it is not waiting. A step
+does only the work its outputs read: the predicted temperature change
+(delta-T) that the scheduler classifies on is computed only for the VMs
+awaiting placement, and each host's utilization is carried from one
+step's power phase to the next step's VM refresh instead of being summed
+again. One replicate is one
 single-threaded deterministic loop; replicates use seeds derived from the
 base seed and are merged in index order, so results depend only on
 (config, seed).
@@ -15,14 +19,14 @@ base seed and are merged in index order, so results depend only on
 
 import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import energy, scheduler, thermal, utilization
 from .errors import DomainError
-from .model import HostState, VmState, config_digest, validate_config
+from .model import (MAX_ARRIVAL_RATE, HostState, VmState, config_digest,
+                    derive_lambda, validate_config)
 from .traceio import generate_workloads
 
 STREAM_ARRIVALS = 0
@@ -39,8 +43,7 @@ def poisson_arrivals(lam, rng):
         raise DomainError("lambda must be >= 0")
     if lam == 0:
         return 0
-    if lam > 700:
-        # exp(-lam) underflows and the inversion walk cannot start
+    if lam > MAX_ARRIVAL_RATE:
         raise DomainError(f"arrival rate {lam} too large for inversion")
     u = rng.random()
     p = math.exp(-lam)
@@ -76,7 +79,7 @@ class SimulationState:
     clock_s: int = 0
     hosts: list = field(default_factory=list)
     vms: dict = field(default_factory=dict)
-    waiting: deque = field(default_factory=deque)
+    waiting: list = field(default_factory=list)
     pending_tasks: list = field(default_factory=list)
     running_tasks: list = field(default_factory=list)
     completed_tasks: list = field(default_factory=list)
@@ -93,13 +96,13 @@ class SimulationState:
             host = HostState(spec=spec, current_temp_c=spec.thermal.t_initial_c)
             self.hosts.append(host)
             self.temp_series[spec.id] = []
-        self._hosts_by_id = {h.id: h for h in self.hosts}
+        self.host_by_id = {h.id: h for h in self.hosts}
         for spec in self.cfg.vms:
             vm = VmState(spec=spec)
             self.vms[spec.id] = vm
             if spec.host_id is not None:
                 vm.host_id = spec.host_id
-                self._hosts_by_id[spec.host_id].placed_vms.append(spec.id)
+                self.host_by_id[spec.host_id].placed_vms.append(spec.id)
             else:
                 self.waiting.append(spec.id)
         # Host utilization as the last power phase computed it (None before
@@ -118,10 +121,6 @@ class SimulationState:
         if self.cfg.trace_dir is not None:
             self.traces = load_trace_assignments(self.cfg.trace_dir,
                                                  [v.id for v in self.cfg.vms])
-
-    @property
-    def host_by_id(self):
-        return self._hosts_by_id
 
 
 def load_trace_assignments(trace_dir, vm_ids):
@@ -147,19 +146,6 @@ def load_trace_assignments(trace_dir, vm_ids):
 def trace_utilization(trace, step_index):
     """CPU fraction for a step, cycling the trace past its end."""
     return trace.samples[step_index % len(trace.samples)] / 100.0
-
-
-def derive_lambda(cfg):
-    """Arrival rate per interval: explicit rate wins, else a configured
-    total count spread evenly over the horizon's steps."""
-    wl = cfg.workload
-    if wl is None:
-        return 0.0
-    if wl.lambda_per_interval is not None:
-        return wl.lambda_per_interval
-    if wl.count is not None:
-        return wl.count / cfg.step_count
-    return 0.0
 
 
 def _host_utilization(state, host):
@@ -246,31 +232,25 @@ def _predict_delta_t(state):
 
 
 def _apply_actions(state, actions):
-    hosts = state.host_by_id
+    """Move each placed VM from `waiting` onto its destination host. Every
+    action names a waiting VM, so no host lists it yet; a "none" action
+    (put back on the host it was evicted from) emits no event."""
     for action in actions:
         vm = state.vms[action.vm_id]
-        if action.vm_id in state.waiting:
-            state.waiting.remove(action.vm_id)
-        if action.kind == "none":
-            # Re-placement on the same host (after an overheat re-enqueue).
-            if action.vm_id not in hosts[action.dst_host].placed_vms:
-                hosts[action.dst_host].placed_vms.append(action.vm_id)
-            continue
+        dst = state.host_by_id[action.dst_host]
         if action.kind == "migrate":
-            src = hosts.get(action.src_host)
-            if src is not None and action.vm_id in src.placed_vms:
-                src.placed_vms.remove(action.vm_id)
             state.migrations += 1
-            downtime = migration_downtime(vm.spec.ram_mb,
-                                          hosts[action.dst_host].spec.bandwidth_bps)
-            vm.paused_until_s = state.clock_s + downtime
+            vm.paused_until_s = state.clock_s + migration_downtime(
+                vm.spec.ram_mb, dst.spec.bandwidth_bps)
             state.events.append((state.clock_s, "migrate",
                                  f"{vm.id}:{action.src_host}->{action.dst_host}"))
-        else:
+        elif action.kind == "allocate":
             state.events.append((state.clock_s, "allocate",
                                  f"{vm.id}->{action.dst_host}"))
         vm.host_id = action.dst_host
-        hosts[action.dst_host].placed_vms.append(action.vm_id)
+        dst.placed_vms.append(action.vm_id)
+    placed = {action.vm_id for action in actions}
+    state.waiting = [vm_id for vm_id in state.waiting if vm_id not in placed]
 
 
 def step(state):
@@ -290,9 +270,9 @@ def step(state):
         state.tasks_generated += count
         state.events.append((clock, "arrivals", str(count)))
 
-    # 2. map pending tasks onto VMs with a live placement
-    live_ids = {vm_id for host in state.hosts for vm_id in host.placed_vms}
-    placed_vms = [vm for vm in state.vms.values() if vm.id in live_ids]
+    # 2. map pending tasks onto the placed (not waiting) VMs
+    waiting = set(state.waiting)
+    placed_vms = [vm for vm in state.vms.values() if vm.id not in waiting]
     if state.pending_tasks and placed_vms:
         views = utilization.task_views(state.pending_tasks, placed_vms, interval)
         assignment = utilization.map_workloads(views, placed_vms)
@@ -310,18 +290,17 @@ def step(state):
 
     # 3. VM placement by the active policy
     _refresh_vm_views(state)
-    if cfg.policy in ("thermal", "thermal+utilization"):
+    if scheduler.POLICIES[cfg.policy].evicts_overheated:
         for host in state.hosts:
             if host.current_temp_c > host.spec.thermal.t_over_c and host.placed_vms:
-                for vm_id in list(host.placed_vms):
-                    host.placed_vms.remove(vm_id)
-                    state.waiting.append(vm_id)
+                state.waiting.extend(host.placed_vms)
+                host.placed_vms = []
                 state.events.append((clock, "overheat-evict", host.id))
     if state.waiting:
         _predict_delta_t(state)
         snapshot = scheduler.Snapshot(
-            hosts=state.hosts, vms=state.vms, waiting=list(state.waiting),
-            thresholds=state.thresholds, interval_s=interval)
+            hosts=state.hosts, vms=state.vms, waiting=state.waiting,
+            thresholds=state.thresholds)
         actions = scheduler.run_policy(cfg.policy, snapshot)
         _apply_actions(state, actions)
         for vm_id in state.waiting:
@@ -354,17 +333,17 @@ def step(state):
 
     # 6. task progress, completions, SLA
     still_running = []
-    hosts_by_id = state.host_by_id
+    waiting = set(state.waiting)
     host_demand = {
         h.id: sum(state.vms[v].reserved_mips for v in h.placed_vms)
         for h in state.hosts}
     for task in state.running_tasks:
         vm = state.vms[task.assigned_vm]
-        host = hosts_by_id.get(vm.host_id)
-        if host is None or vm.id not in host.placed_vms:
-            # VM has no live placement this interval; the task stalls.
+        if vm.id in waiting:
+            # Evicted and not re-placed this interval; the task stalls.
             still_running.append(task)
             continue
+        host = state.host_by_id[vm.host_id]
         demand = host_demand[host.id]
         host_share = min(1.0, host.spec.total_mips / demand) if demand else 1.0
         vm_demand = vm.reserved_mips

@@ -69,8 +69,4 @@ class SchemaError(ParseError):
 
 
 class UnknownPolicy(DcthermError):
-    """No policy registered under the requested name."""
-
-
-class DuplicatePolicy(DcthermError):
-    """A policy name was registered twice."""
+    """No placement policy under the requested name."""

@@ -312,9 +312,3 @@ class GruModel:
                 yield f"layers[{i}].{name}", getattr(layer, name)
         yield "w_out", self.w_out
         yield "b_out", self.b_out
-
-
-def gru_forward(model, sequence):
-    """Functional entry point: raw feature sequence in, degrees C out."""
-    return model.predict_sequence(sequence)
-

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .energy import (Activity, CoolingPower, DynamicEnergyParams, ExtraPower,
+from .energy import (CoolingPower, DynamicEnergyParams, ExtraPower,
                      MemoryPower, NetworkPower, PowerParams, StoragePower)
 from .errors import InvalidConfig, IoError
 from .scheduler import registered_policies
@@ -198,6 +198,24 @@ class DataCenterConfig:
         return self.horizon_s // self.interval_s
 
 
+# Largest arrival rate per interval the engine's Poisson draw can take: above
+# it exp(-rate) underflows and the inversion walk cannot start.
+MAX_ARRIVAL_RATE = 700
+
+
+def derive_lambda(cfg):
+    """Arrival rate per interval: explicit rate wins, else a configured
+    total count spread evenly over the horizon's steps."""
+    wl = cfg.workload
+    if wl is None:
+        return 0.0
+    if wl.lambda_per_interval is not None:
+        return wl.lambda_per_interval
+    if wl.count is not None:
+        return wl.count / cfg.step_count
+    return 0.0
+
+
 def validate_config(cfg):
     """Check every invariant and return the config (defaults are filled by
     construction). Raises InvalidConfig naming the offending field."""
@@ -218,6 +236,10 @@ def validate_config(cfg):
         raise InvalidConfig("sla_slack", "must be >= 0")
     if cfg.replicates < 1:
         raise InvalidConfig("replicates", "must be >= 1")
+    lam = derive_lambda(cfg)
+    if lam > MAX_ARRIVAL_RATE:
+        raise InvalidConfig("workload", f"arrival rate {lam:g} per interval "
+                                        f"exceeds {MAX_ARRIVAL_RATE}")
 
     host_ids = [h.id for h in cfg.hosts]
     if len(set(host_ids)) != len(host_ids):
@@ -367,7 +389,7 @@ def config_digest(cfg):
 
 
 __all__ = [
-    "Activity", "DataCenterConfig", "HostSpec", "HostState",
+    "DataCenterConfig", "HostSpec", "HostState",
     "UtilizationSnapshot", "VmSpec", "VmState", "Workload",
     "WorkloadGenConfig", "config_digest", "config_from_dict",
     "config_to_dict", "default_datacenter", "load_config", "save_config",

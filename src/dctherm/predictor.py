@@ -292,29 +292,43 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a file written by save_model. Raises ParseError if the file is
+    not one: bad magic or version, fewer bytes than its dimension table
+    calls for, or bytes left after b_out."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ParseError("not a model file (bad magic)")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != MODEL_VERSION:
-            raise ParseError(f"unsupported model version {version}")
-        dims = struct.unpack(f"<{n_layers + 1}I", fh.read(4 * (n_layers + 1)))
+        blob = fh.read()
+    if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
+        raise ParseError("not a model file (bad magic)")
+    pos = len(MODEL_MAGIC)
 
-        def read_array(shape):
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(float)
-            return data.reshape(shape)
+    def take(size):
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise ParseError(f"model file truncated: {size} bytes needed at "
+                             f"offset {pos}, {len(blob) - pos} left")
+        pos += size
+        return blob[pos - size:pos]
 
-        n_features = dims[0]
-        fmin = read_array((n_features,))
-        fmax = read_array((n_features,))
-        tmin, tmax = struct.unpack("<dd", fh.read(16))
-        norm = FeatureNorm(fmin, fmax, tmin, tmax)
-        model = GruModel.create(n_features, dims[1:], norm, zero=True)
-        for name, param in model.iter_params():
-            if name == "b_out":
-                model.b_out = float(read_array((1,))[0])
-            else:
-                param[...] = read_array(param.shape)
+    def read_array(shape):
+        count = int(np.prod(shape))
+        data = np.frombuffer(take(8 * count), dtype="<f8").astype(float)
+        return data.reshape(shape)
+
+    version, n_layers = struct.unpack("<II", take(8))
+    if version != MODEL_VERSION:
+        raise ParseError(f"unsupported model version {version}")
+    dims = struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1)))
+    n_features = dims[0]
+    fmin = read_array((n_features,))
+    fmax = read_array((n_features,))
+    tmin, tmax = struct.unpack("<dd", take(16))
+    norm = FeatureNorm(fmin, fmax, tmin, tmax)
+    model = GruModel.create(n_features, dims[1:], norm, zero=True)
+    for name, param in model.iter_params():
+        if name == "b_out":
+            model.b_out = float(read_array((1,))[0])
+        else:
+            param[...] = read_array(param.shape)
+    if pos != len(blob):
+        raise ParseError(f"{len(blob) - pos} trailing bytes after the model")
     return model

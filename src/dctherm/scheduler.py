@@ -1,4 +1,4 @@
-"""Queue-based thermal-aware VM placement plus the pluggable policy registry.
+"""Queue-based thermal-aware VM placement and the table of placement policies.
 
 The thermal scheduler keeps three FIFO class queues (hot / warm / cold by
 predicted temperature change) and walks hosts from the largest thermal
@@ -9,15 +9,18 @@ branch structure of the selection rules). Within the chosen queue
 the first VM (FIFO) that fits the host's residual capacity is taken; if
 none fits, the host receives nothing that pass.
 
-Policies are objects with a ``name`` and ``schedule(snapshot) -> actions``;
-four built-ins are registered at import time: "fcfs", "utilization",
-"thermal" and "thermal+utilization".
+``POLICIES`` maps each policy name to its schedule function
+(``schedule(snapshot) -> actions``) and to whether the engine evicts the
+VMs of hosts above their ``t_over_c`` before that policy runs. The four
+policies are "fcfs" and "utilization" (first-fit, no eviction) and
+"thermal" and "thermal+utilization" (the queue-based round, with eviction).
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
-from .errors import DuplicatePolicy, InvalidConfig, UnknownPolicy
+from .errors import InvalidConfig, UnknownPolicy
 from .thermal import ThermalClass, classify_vm
 
 
@@ -61,7 +64,6 @@ class Snapshot:
     vms: dict               # vm_id -> VmState
     waiting: list           # vm_ids awaiting (re)placement, FIFO
     thresholds: object      # VmThresholds for classification
-    interval_s: int = 300
 
     def residual(self, host):
         placed = [self.vms[v] for v in host.placed_vms]
@@ -97,6 +99,27 @@ def queue_preference(host_temp_c, tp):
     return (ThermalClass.WARM, ThermalClass.HOT, ThermalClass.COLD)
 
 
+def _fits(vm, residual):
+    """Whether vm's MIPS and RAM fit a host's [mips, ram] residual."""
+    return vm.spec.mips <= residual[0] and vm.spec.ram_mb <= residual[1]
+
+
+def _place(vm, host_id, residual):
+    """Debit vm from the destination's residual and return its action: an
+    unplaced VM is allocated, one evicted from another host migrates, and
+    one put back on the host it was evicted from is a "none" action."""
+    residual[0] -= vm.spec.mips
+    residual[1] -= vm.spec.ram_mb
+    if vm.host_id is None:
+        kind = "allocate"
+    elif vm.host_id != host_id:
+        kind = "migrate"
+    else:
+        kind = "none"
+    return PlacementAction(kind=kind, vm_id=vm.id, dst_host=host_id,
+                           src_host=vm.host_id)
+
+
 def schedule_round(snapshot, qs, tie_break="id"):
     """One placement round over the classified queues.
 
@@ -129,24 +152,13 @@ def schedule_round(snapshot, qs, tie_break="id"):
                 chosen = None
                 for vm_id in q:
                     vm = snapshot.vms[vm_id]
-                    if (vm.spec.mips <= residual[host.id][0]
-                            and vm.spec.ram_mb <= residual[host.id][1]):
+                    if _fits(vm, residual[host.id]):
                         chosen = vm
                         break
                 if chosen is not None:
                     q.remove(chosen.id)
-                    residual[host.id][0] -= chosen.spec.mips
-                    residual[host.id][1] -= chosen.spec.ram_mb
                     eff_temp[host.id] += chosen.delta_t_c or 0.0
-                    if chosen.host_id is None:
-                        kind = "allocate"
-                    elif chosen.host_id != host.id:
-                        kind = "migrate"
-                    else:
-                        kind = "none"
-                    actions.append(PlacementAction(
-                        kind=kind, vm_id=chosen.id, dst_host=host.id,
-                        src_host=chosen.host_id))
+                    actions.append(_place(chosen, host.id, residual[host.id]))
                     placed_this_pass = True
                 break  # only the first non-empty queue is considered
             if qs.classified_empty:
@@ -156,111 +168,60 @@ def schedule_round(snapshot, qs, tie_break="id"):
     return actions
 
 
-# ---------------------------------------------------------------------------
-# Policy registry.
-# ---------------------------------------------------------------------------
-
-class Policy:
-    """Placement policy: maps a datacenter snapshot to placement actions."""
-
-    name = "abstract"
-
-    def schedule(self, snapshot):
-        raise NotImplementedError
-
-
-_REGISTRY = {}
-
-
-def register_policy(name, policy):
-    if name in _REGISTRY:
-        raise DuplicatePolicy(f"policy {name!r} already registered")
-    _REGISTRY[name] = policy
-
-
-def get_policy(name):
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownPolicy(f"no policy named {name!r}; "
-                            f"known: {sorted(_REGISTRY)}") from None
-
-
-def run_policy(name, snapshot):
-    return get_policy(name).schedule(snapshot)
-
-
-def registered_policies():
-    return tuple(sorted(_REGISTRY))
-
-
 def _first_fit(snapshot, host_order):
     """Place waiting VMs (FIFO) on the first host in host_order that fits."""
     residual = {h.id: list(snapshot.residual(h)) for h in snapshot.hosts}
     actions = []
     for vm_id in snapshot.waiting:
         vm = snapshot.vms[vm_id]
-        for host in host_order:
-            if (vm.spec.mips <= residual[host.id][0]
-                    and vm.spec.ram_mb <= residual[host.id][1]):
-                residual[host.id][0] -= vm.spec.mips
-                residual[host.id][1] -= vm.spec.ram_mb
-                if vm.host_id is None:
-                    kind = "allocate"
-                elif vm.host_id != host.id:
-                    kind = "migrate"
-                else:
-                    kind = "none"
-                actions.append(PlacementAction(
-                    kind=kind, vm_id=vm.id, dst_host=host.id,
-                    src_host=vm.host_id))
-                break
+        host = next((h for h in host_order if _fits(vm, residual[h.id])), None)
+        if host is not None:
+            actions.append(_place(vm, host.id, residual[host.id]))
     return actions
 
 
-class FcfsPolicy(Policy):
+def _fcfs(snapshot):
     """First come, first served: waiting order x host-id order."""
-
-    name = "fcfs"
-
-    def schedule(self, snapshot):
-        return _first_fit(snapshot, sorted(snapshot.hosts, key=lambda h: h.id))
+    return _first_fit(snapshot, sorted(snapshot.hosts, key=lambda h: h.id))
 
 
-class UtilizationPolicy(Policy):
+def _utilization(snapshot):
     """Consolidating first-fit: most-utilized host with room first."""
+    def used_fraction(host):
+        mips, _ = snapshot.residual(host)
+        return 1.0 - mips / host.spec.total_mips
 
-    name = "utilization"
-
-    def schedule(self, snapshot):
-        def used_fraction(host):
-            mips, _ = snapshot.residual(host)
-            return 1.0 - mips / host.spec.total_mips
-
-        order = sorted(snapshot.hosts, key=lambda h: (-used_fraction(h), h.id))
-        return _first_fit(snapshot, order)
+    order = sorted(snapshot.hosts, key=lambda h: (-used_fraction(h), h.id))
+    return _first_fit(snapshot, order)
 
 
-class ThermalPolicy(Policy):
-    """The queue-based thermal placement round."""
-
-    name = "thermal"
-    tie_break = "id"
-
-    def schedule(self, snapshot):
-        waiting_vms = [snapshot.vms[v] for v in snapshot.waiting]
-        qs = classify_and_enqueue(waiting_vms, snapshot.thresholds)
-        return schedule_round(snapshot, qs, tie_break=self.tie_break)
+def _thermal(snapshot, tie_break="id"):
+    """The queue-based thermal placement round over the waiting VMs."""
+    waiting_vms = [snapshot.vms[v] for v in snapshot.waiting]
+    qs = classify_and_enqueue(waiting_vms, snapshot.thresholds)
+    return schedule_round(snapshot, qs, tie_break=tie_break)
 
 
-class ThermalUtilizationPolicy(ThermalPolicy):
-    """Thermal rounds with utilization breaking headroom ties."""
+PolicyEntry = namedtuple("PolicyEntry", "schedule evicts_overheated")
 
-    name = "thermal+utilization"
-    tie_break = "utilization"
+POLICIES = {
+    "fcfs": PolicyEntry(_fcfs, False),
+    "utilization": PolicyEntry(_utilization, False),
+    "thermal": PolicyEntry(_thermal, True),
+    # thermal rounds with utilization breaking headroom ties
+    "thermal+utilization": PolicyEntry(
+        partial(_thermal, tie_break="utilization"), True),
+}
 
 
-register_policy("fcfs", FcfsPolicy())
-register_policy("utilization", UtilizationPolicy())
-register_policy("thermal", ThermalPolicy())
-register_policy("thermal+utilization", ThermalUtilizationPolicy())
+def run_policy(name, snapshot):
+    try:
+        schedule = POLICIES[name].schedule
+    except KeyError:
+        raise UnknownPolicy(f"no policy named {name!r}; "
+                            f"known: {registered_policies()}") from None
+    return schedule(snapshot)
+
+
+def registered_policies():
+    return tuple(sorted(POLICIES))

@@ -40,15 +40,9 @@ class UtilizationTrace:
 
 @dataclass(frozen=True)
 class TelemetryDataset:
-    """Telemetry rows grouped by server, time-ordered within each server."""
+    """Telemetry rows in file order, time-ordered within each server."""
 
     records: tuple
-
-    def by_server(self):
-        grouped = {}
-        for rec in self.records:
-            grouped.setdefault(rec.server_id, []).append(rec)
-        return grouped
 
 
 def sample_telemetry_path():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from dctherm import cli, traceio
 from dctherm.model import WorkloadGenConfig, config_to_dict, default_datacenter
@@ -115,3 +116,25 @@ def test_predict_garbage_model_exit_3(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text(",".join(traceio.CSV_COLUMNS) + "\n")
     assert cli.main(["predict", "--model", str(bad), "--data", str(data)]) == 3
+
+
+def test_predict_truncated_model_exit_3(tmp_path):
+    blob = (Path(__file__).parent / "data" / "model_v1.bin").read_bytes()
+    model_path = tmp_path / "model.bin"
+    data = tmp_path / "d.csv"
+    data.write_text(",".join(traceio.CSV_COLUMNS) + "\n")
+    for bad in (blob[:12], blob[:30], blob[:-3], blob + b"\0"):
+        model_path.write_bytes(bad)
+        assert cli.main(["predict", "--model", str(model_path),
+                         "--data", str(data)]) == 3
+
+
+def test_simulate_arrival_rate_above_bound_exit_2(tmp_path, capsys):
+    # 800 arrivals per interval, given as a rate and as a total count
+    for workload in ({"lambda_per_interval": 800.0}, {"count": 800 * 10}):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({
+            "hosts": [{"id": "pm-0"}], "vms": [{"id": "vm-0", "host_id": "pm-0"}],
+            "horizon_s": 3000, "workload": workload}))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "workload" in capsys.readouterr().err

@@ -12,6 +12,8 @@ from dctherm.model import (DataCenterConfig, HostSpec, VmSpec, Workload,
                            WorkloadGenConfig, default_datacenter,
                            validate_config)
 
+from test_golden import churn_config, matrix_config
+
 
 def small_config(**kw):
     return default_datacenter(seed=kw.pop("seed", 3), **kw)
@@ -295,3 +297,35 @@ def test_delta_t_computed_only_for_waiting_vms(monkeypatch):
         step(state)                  # fully placed, nothing evicted
     assert not any(kind == "overheat-evict" for _, kind, _ in state.events)
     assert calls == []
+
+
+# --- placement invariant the engine relies on -------------------------------
+
+@pytest.mark.parametrize("mode", (thermal.MODE_LITERAL,
+                                  thermal.MODE_TIME_DEPENDENT))
+@pytest.mark.parametrize("policy", ("fcfs", "utilization", "thermal",
+                                    "thermal+utilization"))
+@pytest.mark.parametrize("config", (matrix_config, churn_config),
+                         ids=("matrix", "churn"))
+def test_each_vm_waits_or_sits_on_one_host(config, policy, mode):
+    cfg = config(policy, mode)
+    state = SimulationState(cfg=cfg, seed=cfg.seed)
+    for _ in range(cfg.step_count):
+        step(state)
+        homes = list(state.waiting)
+        for host in state.hosts:
+            homes.extend(host.placed_vms)
+            assert all(state.vms[v].host_id == host.id
+                       for v in host.placed_vms)
+        assert sorted(homes) == sorted(state.vms)
+
+
+@pytest.mark.parametrize("policy", ("fcfs", "utilization", "thermal",
+                                    "thermal+utilization"))
+def test_only_thermal_policies_evict_overheated_hosts(policy):
+    cfg = churn_config(policy, thermal.MODE_LITERAL)
+    report = run_once(cfg)
+    # every policy runs hosts past t_over_c; only the thermal ones evict
+    assert report.temp_max_c > cfg.hosts[0].thermal.t_over_c
+    evicted = any(kind == "overheat-evict" for _, kind, _ in report.events)
+    assert evicted == policy.startswith("thermal")

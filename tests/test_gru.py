@@ -5,7 +5,7 @@ import pytest
 
 from dctherm.errors import DimensionMismatch
 from dctherm.gru import (PARAM_NAMES, FeatureNorm, GruLayer, GruModel,
-                         gate_views, gru_forward, orthogonal_matrix, sigmoid)
+                         gate_views, orthogonal_matrix, sigmoid)
 
 from oracles import (ReferenceGruLayer, analytic_gradients,
                      finite_difference_gradients, reference_sigmoid)
@@ -81,7 +81,7 @@ def test_dimension_mismatch_raises():
                  w_out=np.zeros(2), b_out=0.0, norm=UNIT_NORM)
     model = GruModel.create(3, (2,), UNIT_NORM, zero=True)
     with pytest.raises(DimensionMismatch):
-        gru_forward(model, np.zeros(3))  # 1-d, not (steps, features)
+        model.predict_sequence(np.zeros(3))  # 1-d, not (steps, features)
 
 
 def test_default_stack_shape():

@@ -115,3 +115,17 @@ def test_presets_expand():
     })
     assert cfg.hosts[0].thermal.t_over_c == 79.0
     assert cfg.hosts[0].power.dyn.mu1 == 120.0
+
+
+def test_arrival_rate_above_bound_fails_at_load():
+    base = {"hosts": [{"id": "pm-0"}],
+            "vms": [{"id": "vm-0", "host_id": "pm-0"}], "horizon_s": 3000}
+    # 10 steps: a count of 8000 is 800 arrivals per interval
+    for workload in ({"lambda_per_interval": 800.0}, {"count": 8000}):
+        with pytest.raises(InvalidConfig) as err:
+            model.config_from_dict({**base, "workload": workload})
+        assert err.value.field == "workload"
+    for workload in ({"lambda_per_interval": float(model.MAX_ARRIVAL_RATE)},
+                     {"count": 10 * model.MAX_ARRIVAL_RATE}):
+        cfg = model.config_from_dict({**base, "workload": workload})
+        assert model.derive_lambda(cfg) == model.MAX_ARRIVAL_RATE

@@ -197,6 +197,26 @@ def test_model_file_rejects_garbage(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("cut", (0, 5, 12, 20, 30, 100, 1000, 1427, 1433,
+                                 1435))
+def test_truncated_model_file_rejected(cut, tmp_path):
+    # 1436 bytes: magic 8, version and layer count 8, dims 12, norm 160,
+    # layer weights 1224, w_out 16, b_out 8; the cuts end inside each part.
+    blob = (Path(__file__).parent / "data" / "model_v1.bin").read_bytes()
+    path = tmp_path / "cut.bin"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
+def test_trailing_bytes_after_model_rejected(tmp_path):
+    blob = (Path(__file__).parent / "data" / "model_v1.bin").read_bytes()
+    path = tmp_path / "long.bin"
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(ParseError):
+        load_model(path)
+
+
 def test_version_1_model_file_still_loads(tmp_path):
     # model_v1.bin was written by the nine-tensor layer's save_model:
     # GruModel.create(9, (3, 2), norm, seed=11) with b_out = 0.25. The

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dctherm import scheduler
-from dctherm.errors import DuplicatePolicy, InvalidConfig, UnknownPolicy
+from dctherm.errors import InvalidConfig, UnknownPolicy
 from dctherm.model import HostSpec, HostState, VmSpec, VmState
-from dctherm.scheduler import (PlacementAction, Policy, QueueSet, Snapshot,
+from dctherm.scheduler import (PlacementAction, QueueSet, Snapshot,
                                classify_and_enqueue, queue_preference,
                                registered_policies, run_policy,
                                schedule_round)
@@ -272,8 +271,6 @@ def test_thermal_policy_delegates_to_schedule_round():
 def test_unknown_and_duplicate_policy():
     with pytest.raises(UnknownPolicy):
         run_policy("nope", None)
-    with pytest.raises(DuplicatePolicy):
-        scheduler.register_policy("fcfs", Policy())
 
 
 def test_fcfs_defers_when_hosts_full():
