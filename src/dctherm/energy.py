@@ -13,7 +13,7 @@ linear (C V^2 f) and a nonlinear (mu1 u + mu2 u^2) model.
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, InvalidConfig
 
 # Processor-level nonlinear coefficients: 120 + 60 = 180 W at full
 # utilization, inside the 130-240 W band of the reference parameter set.
@@ -34,7 +34,7 @@ class DynamicEnergyParams:
     def __post_init__(self):
         for name in ("capacitance_f", "voltage_v", "frequency_hz", "mu1", "mu2"):
             if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
+                raise InvalidConfig(name, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ class CoolingPower:
     ac_w: float = 200.0
     compressor_w: float = 150.0
     fan_w: float = 50.0
+
+    def __post_init__(self):
+        for name in ("ac_w", "compressor_w", "fan_w"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(name, "must be >= 0")
 
 
 @dataclass(frozen=True)

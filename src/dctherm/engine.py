@@ -114,9 +114,7 @@ class SimulationState:
         self.rng_arrivals = np.random.default_rng([self.seed, STREAM_ARRIVALS])
         self.rng_workload = np.random.default_rng([self.seed, STREAM_WORKLOAD])
         self.lambda_per_interval = derive_lambda(self.cfg)
-        self.thresholds = thermal.vm_thresholds(self.cfg.hosts[0].thermal
-                                                if self.cfg.hosts else
-                                                thermal.ThermalParams())
+        self.thresholds = thermal.vm_thresholds(self.cfg.hosts[0].thermal)
         self.traces = {}
         if self.cfg.trace_dir is not None:
             self.traces = load_trace_assignments(self.cfg.trace_dir,
@@ -171,8 +169,7 @@ def _refresh_vm_views(state):
     if host_util is None:
         host_util = {h.id: _host_utilization(state, h) for h in state.hosts}
     state.fallback_host = min(state.hosts,
-                              key=lambda h: (host_util[h.id], h.id)) \
-        if state.hosts else None
+                              key=lambda h: (host_util[h.id], h.id))
     base_w = {h.id: energy.dynamic_power(host_util[h.id], h.spec.power.dyn)
               for h in state.hosts}
     step_index = state.clock_s // state.cfg.interval_s
@@ -205,10 +202,10 @@ def _refresh_vm_views(state):
         # current reservation level. A zero share adds exactly 0.0 W
         # (dynamic_power(u) - dynamic_power(u)), so it skips the power model.
         share = resource if vm.host_id else 1.0
-        host = _scoring_host(state, vm) if share else None
-        if host is None:
+        if not share:
             vm.e_total_w = 0.0
             continue
+        host = _scoring_host(state, vm)
         u_share = spec.mips * share / host.spec.total_mips
         with_vm = energy.dynamic_power(min(1.0, host_util[host.id] + u_share),
                                        host.spec.power.dyn)
@@ -224,9 +221,6 @@ def _predict_delta_t(state):
     for vm_id in state.waiting:
         vm = state.vms[vm_id]
         host = _scoring_host(state, vm)
-        if host is None:
-            vm.delta_t_c = 0.0
-            continue
         vm.delta_t_c = thermal.vm_delta_temperature(
             vm.e_total_w, host.dynamic_w, host.spec.thermal, mode, dt)
 
@@ -426,8 +420,8 @@ def run_once(cfg, seed=None):
         sla_violations=violations,
         tasks_generated=state.tasks_generated,
         tasks_completed=len(state.completed_tasks),
-        temp_mean_c=sum(temps) / len(temps) if temps else 0.0,
-        temp_max_c=max(temps) if temps else 0.0,
+        temp_mean_c=sum(temps) / len(temps),
+        temp_max_c=max(temps),
         per_step_rows=state.per_step_rows,
         temp_series=state.temp_series,
         events=state.events,

@@ -9,12 +9,15 @@ intervals, so step counts are exact integer divisions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
-from .energy import (CoolingPower, DynamicEnergyParams, ExtraPower,
-                     MemoryPower, NetworkPower, PowerParams, StoragePower)
+from .energy import PowerParams
 from .errors import InvalidConfig, IoError
 from .scheduler import registered_policies
 from .thermal import MODES, ThermalClass, ThermalParams
@@ -158,14 +161,14 @@ class WorkloadGenConfig:
     count: int | None = None
     lambda_per_interval: float | None = None
     length_base_mi: float = 10000.0
-    length_scale: tuple = (1.10, 1.30)
+    length_scale: tuple[float, float] = (1.10, 1.30)
     file_base_mb: float = 300.0
-    file_scale: tuple = (1.15, 1.40)
+    file_scale: tuple[float, float] = (1.15, 1.40)
     output_base_mb: float = 300.0
-    output_scale: tuple = (1.15, 1.50)
-    cost_range: tuple = (3.0, 5.0)
-    mips_range: tuple = (100.0, 500.0)
-    ram_range: tuple = (100.0, 500.0)
+    output_scale: tuple[float, float] = (1.15, 1.50)
+    cost_range: tuple[float, float] = (3.0, 5.0)
+    mips_range: tuple[float, float] = (100.0, 500.0)
+    ram_range: tuple[float, float] = (100.0, 500.0)
 
     def __post_init__(self):
         if self.count is not None and self.count < 0:
@@ -181,8 +184,8 @@ class WorkloadGenConfig:
 
 @dataclass(frozen=True)
 class DataCenterConfig:
-    hosts: tuple = ()
-    vms: tuple = ()
+    hosts: tuple[HostSpec, ...] = ()
+    vms: tuple[VmSpec, ...] = ()
     interval_s: int = 300
     horizon_s: int = 172800
     seed: int = 1
@@ -241,6 +244,8 @@ def validate_config(cfg):
         raise InvalidConfig("workload", f"arrival rate {lam:g} per interval "
                                         f"exceeds {MAX_ARRIVAL_RATE}")
 
+    if not cfg.hosts:
+        raise InvalidConfig("hosts", "at least one host is required")
     host_ids = [h.id for h in cfg.hosts]
     if len(set(host_ids)) != len(host_ids):
         raise InvalidConfig("hosts", "duplicate host ids")
@@ -273,91 +278,85 @@ def default_datacenter(n_hosts=4, n_vms=12, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization. Unknown keys are an error (fail-fast); named presets
-# ("default") expand to the built-in parameter sets.
+# JSON serialization. The dataclass annotations are the schema: one walk
+# loads a config and its mirror writes it back.
 # ---------------------------------------------------------------------------
 
-def _check_keys(data, allowed, where):
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise InvalidConfig(where, f"unknown keys {sorted(unknown)}")
+@functools.cache
+def _schema(cls):
+    """{field: (type, required)}; cached, as resolving hints is slow."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
 
 
-def _nested(cls, data, where):
-    _check_keys(data, [f.name for f in dataclasses.fields(cls)], where)
-    return cls(**data)
-
-
-def _power_from(data, where):
-    if data == "default":
-        return PowerParams()
-    _check_keys(data, [f.name for f in dataclasses.fields(PowerParams)], where)
-    kwargs = dict(data)
-    for key, cls in (("storage", StoragePower), ("memory", MemoryPower),
-                     ("network", NetworkPower), ("extra", ExtraPower),
-                     ("cooling", CoolingPower), ("dyn", DynamicEnergyParams)):
-        if key in kwargs:
-            kwargs[key] = _nested(cls, kwargs[key], f"{where}.{key}")
-    return PowerParams(**kwargs)
-
-
-def _thermal_from(data, where):
-    if data == "default":
-        return ThermalParams()
-    return _nested(ThermalParams, data, where)
+def _from_json(tp, value, path):
+    """Build a value of annotated type ``tp`` from parsed JSON. Unknown or
+    missing keys, wrong JSON types and non-finite numbers raise
+    InvalidConfig naming the path (``hosts[0].thermal.r_kw``)."""
+    where = path or "config"
+    if tp in (str, int, float):
+        # An int stays an int (config_digest); NaN, inf, huge ints fail.
+        if not (isinstance(value, (int, float) if tp is float else tp)
+                and not isinstance(value, bool)
+                and (tp is not float or abs(value) <= sys.float_info.max)):
+            kind = {str: "a string", int: "an integer",
+                    float: "a finite number"}[tp]
+            raise InvalidConfig(where, f"expected {kind}, got {value!r:.40}")
+        return value
+    if dataclasses.is_dataclass(tp):
+        if value == "default":     # the built-in parameter set
+            value = {}
+        if not isinstance(value, dict):
+            raise InvalidConfig(where, "expected an object")
+        schema = _schema(tp)
+        unknown = value.keys() - schema.keys()
+        if unknown:
+            raise InvalidConfig(where, f"unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for name, (sub_tp, required) in schema.items():
+            sub = f"{path}.{name}" if path else name
+            if name in value:
+                kwargs[name] = _from_json(sub_tp, value[name], sub)
+            elif required:
+                raise InvalidConfig(sub, "required")
+        try:
+            return tp(**kwargs)
+        except InvalidConfig as exc:
+            at = f"{where}.{exc.field}" if exc.field in schema else where
+            raise InvalidConfig(at, exc.reason) from exc
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is types.UnionType:   # written X | None
+        return None if value is None else _from_json(args[0], value, path)
+    # tuple[X, ...] or tuple[X, Y]: the only annotation left.
+    if not isinstance(value, (list, tuple)):
+        raise InvalidConfig(where, "expected a list")
+    item_types = args[:1] * len(value) if args[-1] is Ellipsis else args
+    if len(value) != len(item_types):
+        raise InvalidConfig(where, f"expected a list of {len(item_types)}")
+    return tuple(_from_json(t, v, f"{path}[{i}]")
+                 for i, (t, v) in enumerate(zip(item_types, value)))
 
 
 def config_from_dict(data):
-    _check_keys(data, ("hosts", "vms", "interval_s", "horizon_s", "seed",
-                       "policy", "thermal_mode", "sla_slack", "replicates",
-                       "workload", "trace_dir"), "config")
-    kwargs = dict(data)
-    hosts = []
-    for i, h in enumerate(kwargs.pop("hosts", [])):
-        where = f"hosts[{i}]"
-        _check_keys(h, ("id", "cores", "mips_per_core", "ram_mb",
-                        "bandwidth_bps", "thermal", "power"), where)
-        h = dict(h)
-        if "thermal" in h:
-            h["thermal"] = _thermal_from(h["thermal"], f"{where}.thermal")
-        if "power" in h:
-            h["power"] = _power_from(h["power"], f"{where}.power")
-        hosts.append(HostSpec(**h))
-    vms = []
-    for i, v in enumerate(kwargs.pop("vms", [])):
-        _check_keys(v, ("id", "mips", "ram_mb", "bandwidth_bps", "host_id"),
-                    f"vms[{i}]")
-        vms.append(VmSpec(**v))
-    if "workload" in kwargs and kwargs["workload"] is not None:
-        wl = dict(kwargs["workload"])
-        _check_keys(wl, [f.name for f in dataclasses.fields(WorkloadGenConfig)],
-                    "workload")
-        for key in ("length_scale", "file_scale", "output_scale",
-                    "cost_range", "mips_range", "ram_range"):
-            if key in wl:
-                wl[key] = tuple(wl[key])
-        kwargs["workload"] = WorkloadGenConfig(**wl)
-    return validate_config(
-        DataCenterConfig(hosts=tuple(hosts), vms=tuple(vms), **kwargs))
+    """Validated DataCenterConfig from parsed JSON (README: Configuration
+    file); any malformed value raises InvalidConfig naming its path."""
+    return validate_config(_from_json(DataCenterConfig, data, ""))
 
 
-def _dataclass_dict(obj):
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            out[f.name] = _dataclass_dict(value)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
+def _to_json(value):
+    if dataclasses.is_dataclass(value):
+        return {name: _to_json(getattr(value, name))
+                for name in _schema(type(value))}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def config_to_dict(cfg):
-    out = _dataclass_dict(cfg)
-    out["hosts"] = [_dataclass_dict(h) for h in cfg.hosts]
-    out["vms"] = [_dataclass_dict(v) for v in cfg.vms]
+    out = _to_json(cfg)
+    # Absent rather than null, so recorded config digests still match.
     if cfg.workload is None:
         del out["workload"]
     return out
@@ -365,14 +364,12 @@ def config_to_dict(cfg):
 
 def load_config(path):
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig("json", str(exc)) from exc
+    except ValueError as exc:       # not JSON, or not UTF-8
+        raise InvalidConfig("json", str(exc)) from exc
     return config_from_dict(data)
 
 

@@ -54,8 +54,8 @@ class ThermalParams:
     # sits below any reachable delta-T under the default constants, which
     # would leave the cold class unused; overriding restores a usable
     # three-way split.
-    theta_vl_c: float = None
-    theta_vh_c: float = None
+    theta_vl_c: float | None = None
+    theta_vh_c: float | None = None
 
     def __post_init__(self):
         if self.r_kw <= 0:

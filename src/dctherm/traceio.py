@@ -11,8 +11,8 @@ import logging
 import os
 from dataclasses import dataclass
 
-from .errors import IoError, ParseError, SchemaError
-from .model import Workload
+from .errors import InvalidConfig, IoError, ParseError, SchemaError
+from .model import MAX_ARRIVAL_RATE, Workload
 from .predictor import CSV_COLUMNS, TelemetryRecord
 
 log = logging.getLogger(__name__)
@@ -177,6 +177,9 @@ def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
     from .engine import poisson_arrivals
 
     steps = horizon_s // interval_s
+    if not 0 <= count <= MAX_ARRIVAL_RATE * steps:
+        raise InvalidConfig("count", f"must be in [0, {MAX_ARRIVAL_RATE * steps}]"
+                                     f" ({MAX_ARRIVAL_RATE} per interval)")
     lam = count / steps if steps else 0.0
     out = []
     for s in range(steps):
@@ -188,7 +191,7 @@ def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
     if len(out) < count:
         out.extend(generate_workloads(
             wgcfg, rng, count - len(out),
-            arrival_s=(steps - 1) * interval_s if steps else 0,
+            arrival_s=(steps - 1) * interval_s,
             id_offset=len(out)))
     return out
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from dctherm import cli, traceio
 from dctherm.model import WorkloadGenConfig, config_to_dict, default_datacenter
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, **kw):
@@ -29,6 +34,8 @@ def test_simulate_writes_report(tmp_path, capsys):
 def test_simulate_bad_config_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"interval_s": 0}))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    path.write_bytes(b'{"hosts": [{"id": "pm-\xff"}]}')   # not UTF-8
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
@@ -138,3 +145,38 @@ def test_simulate_arrival_rate_above_bound_exit_2(tmp_path, capsys):
             "horizon_s": 3000, "workload": workload}))
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert "workload" in capsys.readouterr().err
+
+
+def test_malformed_config_exit_2_without_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    host = {"id": "pm-0"}
+    cases = [
+        ({"hosts": [{"id": "pm-0", "thermal": {"r_kw": "0.5"}}]},
+         "hosts[0].thermal.r_kw"),
+        ({"hosts": [host], "interval_s": 300.0}, "interval_s"),
+        ({"hosts": [host], "vms": [{"id": "vm-0", "mips": float("nan")}]},
+         "vms[0].mips"),
+    ]
+    for i, (data, path) in enumerate(cases):
+        cfg_path = tmp_path / f"bad{i}.json"
+        cfg_path.write_text(json.dumps(data))
+        result = subprocess.run(
+            [sys.executable, "-m", "dctherm.cli", "simulate",
+             "--config", str(cfg_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("config error:")
+        assert f"'{path}'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_gen_workload_count_out_of_range_exit_2(tmp_path, capsys):
+    # 500000 over the default 576 steps is 868 arrivals per interval
+    for count in ("500000", "-5"):
+        out = tmp_path / "wl.csv"
+        assert cli.main(["gen-workload", "--count", count,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "count" in capsys.readouterr().err

@@ -84,6 +84,9 @@ def test_config_round_trip(tmp_path):
     loaded = model.load_config(path)
     assert loaded == cfg
     assert model.config_digest(loaded) == model.config_digest(cfg)
+    # The digest is run provenance: a loader or writer change must not move it.
+    assert model.config_digest(cfg) == \
+        "2cb58911d524c9062d401fd9d73d98ed9713b53b95da7b2bb09e0383fb38bf6b"
 
 
 def test_unknown_keys_fail_fast():
@@ -129,3 +132,85 @@ def test_arrival_rate_above_bound_fails_at_load():
                      {"count": 10 * model.MAX_ARRIVAL_RATE}):
         cfg = model.config_from_dict({**base, "workload": workload})
         assert model.derive_lambda(cfg) == model.MAX_ARRIVAL_RATE
+
+
+HOST = {"id": "pm-0"}
+
+# Inputs that once crashed the loader or the run, or ran anyway, each with
+# the path its InvalidConfig must name.
+MALFORMED = [
+    ({"hosts": [{"cores": 2}]}, "hosts[0].id"),
+    ({"hosts": [{"id": "pm-0", "thermal": {"r_kw": "0.5"}}]},
+     "hosts[0].thermal.r_kw"),
+    ({"hosts": [HOST], "vms": [{"id": "vm-0", "mips": None}]}, "vms[0].mips"),
+    ({"hosts": [HOST], "workload": {"length_scale": [1.1]}},
+     "workload.length_scale"),
+    ({"hosts": [HOST], "seed": 1.5}, "seed"),
+    ({"hosts": [{"id": "pm-0", "power": {"storage": 5}}]},
+     "hosts[0].power.storage"),
+    ({"hosts": [HOST], "replicates": 2.5}, "replicates"),
+    ({"hosts": [{"id": "pm-0", "cores": 2.5}]}, "hosts[0].cores"),
+    ({"hosts": [HOST], "workload": {"count": "10"}}, "workload.count"),
+    ({"hosts": [HOST], "interval_s": 300.0}, "interval_s"),
+    ({"hosts": [{"id": "pm-0", "thermal": {"r_kw": float("nan")}}]},
+     "hosts[0].thermal.r_kw"),
+    ({"hosts": [HOST], "vms": [{"id": "vm-0", "mips": float("inf")}]},
+     "vms[0].mips"),
+    ({"hosts": [{"id": "pm-0", "ram_mb": 10 ** 400}]}, "hosts[0].ram_mb"),
+    ([], "config"),
+    ({}, "hosts"),
+    ({"hosts": [{"id": "pm-0", "power": {"dyn": {"mu1": -1.0}}}]},
+     "hosts[0].power.dyn.mu1"),
+    ({"hosts": [{"id": "pm-0", "power": {"cooling": {"fan_w": -1.0}}}]},
+     "hosts[0].power.cooling.fan_w"),
+]
+
+
+@pytest.mark.parametrize("data,path", MALFORMED,
+                         ids=[path for _, path in MALFORMED])
+def test_malformed_config_names_its_path(data, path):
+    with pytest.raises(InvalidConfig) as err:
+        model.config_from_dict(data)
+    assert err.value.field == path
+
+
+def test_every_nested_set_round_trips(tmp_path):
+    power = {"short_circuit_w": 1.5, "leakage_w": 3, "idle_w": 7.0,
+             "storage": {"read_w": 14.0, "write_w": 13.0, "idle_w": 4.0},
+             "memory": {"sram_w": 2.0, "dram_w": 6.0},
+             "network": {"router_w": 29.0, "gateway_w": 19.0,
+                         "lan_card_w": 9.0, "switch_w": 8.0},
+             "extra": {"motherboard_w": 1.5, "connector_w": 0.2, "ports": 6},
+             "cooling": {"ac_w": 190.0, "compressor_w": 140.0, "fan_w": 40.0},
+             "dyn": {"capacitance_f": 2e-9, "voltage_v": 1.1,
+                     "frequency_hz": 2.4e9, "mu1": 110.0, "mu2": 55}}
+    data = {
+        "hosts": [{"id": "pm-0", "cores": 8, "power": power,
+                   "thermal": {"r_kw": 0.4, "theta_vl_c": None}},
+                  {"id": "pm-1", "thermal": {"theta_vl_c": 1.0,
+                                             "theta_vh_c": 3}}],
+        "vms": [{"id": "vm-0", "host_id": "pm-0"}, {"id": "vm-1", "mips": 250}],
+        "interval_s": 600, "horizon_s": 6000, "seed": 5,
+        "policy": "utilization", "thermal_mode": "time-dependent",
+        "sla_slack": 0.2, "replicates": 2, "trace_dir": "traces",
+        "workload": {"count": 30, "lambda_per_interval": 2.5,
+                     "length_base_mi": 9000.0, "length_scale": [1.0, 1.2],
+                     "file_base_mb": 200.0, "file_scale": [1.1, 1.3],
+                     "output_base_mb": 250, "output_scale": [1.1, 1.4],
+                     "cost_range": [2.0, 4.0], "mips_range": [50, 400.0],
+                     "ram_range": [64.0, 256.0]},
+    }
+    cfg = model.config_from_dict(data)
+    assert cfg.hosts[0].power.dyn.mu2 == 55 and cfg.workload.mips_range[0] == 50
+    assert cfg.hosts[0].thermal.theta_vl_c is None
+    assert cfg.hosts[1].thermal.theta_vh_c == 3
+    written = model.config_to_dict(cfg)
+    for key, value in data.items():
+        if key not in ("hosts", "vms"):
+            assert written[key] == value, key
+    assert written["hosts"][0]["power"] == power
+    path = tmp_path / "dc.json"
+    model.save_config(cfg, path)
+    loaded = model.load_config(path)
+    assert loaded == cfg
+    assert model.config_digest(loaded) == model.config_digest(cfg)
