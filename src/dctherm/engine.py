@@ -6,17 +6,30 @@ accounting), power computation and energy integration, host temperature
 update, and task progress / SLA checks. Before placement, a policy whose
 ``scheduler.POLICIES`` entry says so evicts every VM of a host above its
 t_over_c. Every VM is in exactly one of ``state.waiting`` or one host's
-``placed_vms``, so a VM is placed exactly when it is not waiting. A step
-does only the work its outputs read: the predicted temperature change
-(delta-T) that the scheduler classifies on is computed only for the VMs
-awaiting placement, and each host's utilization is carried from one
-step's power phase to the next step's VM refresh instead of being summed
-again. One replicate is one
-single-threaded deterministic loop; replicates use seeds derived from the
-base seed and are merged in index order, so results depend only on
-(config, seed).
+``placed_vms``, so a VM is placed exactly when it is not waiting.
+
+A step does each task's and each host's work once, not once per step:
+
+- arrivals are drawn in one block (``traceio.generate_workloads``);
+- pending tasks form a ``Backlog`` kept in the mapper's walk order across
+  steps: a task is viewed and keyed once while the placed VMs' spec means
+  stay the same, new arrivals are inserted, not re-sorted with the rest,
+  and the first-fit walk stops once no VM could hold a later task;
+- the placed VMs and their spec means are recomputed only when the
+  waiting list changes;
+- the power phase reuses a host's last power figures while its
+  utilization, busy flag and having VMs at all are unchanged, and the next
+  refresh reads the dynamic draw it left on the host;
+- the predicted temperature change (delta-T) that the scheduler
+  classifies on is computed only for the VMs awaiting placement.
+
+None of this changes a result: the same inputs reach the same functions
+in the same order. One replicate is one single-threaded deterministic
+loop; replicates use seeds derived from the base seed and are merged in
+index order, so results depend only on (config, seed).
 """
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -72,6 +85,97 @@ def check_sla(task, sla_slack):
     return task.finish_s > deadline
 
 
+class Backlog:
+    """Tasks waiting for a VM, kept in the mapper's walk order across steps.
+
+    A task is viewed (``utilization.task_views``) against the spec means of
+    the placed VMs when it is first mapped, and keeps its view and sort key
+    until those means (or the interval) change; then every held task is
+    viewed again. New
+    tasks wait in ``inbox`` until the next ``take``, which sorts them and
+    inserts each after every held task with an equal key. The order is
+    therefore the one a stable sort of the whole backlog, in arrival order,
+    would give, without sorting or viewing the held tasks again.
+    """
+
+    def __init__(self):
+        self.inbox = []    # (arrival number, task), not yet viewed
+        self.held = []     # (sort key, arrival number, task), ascending
+        self.views = []    # the held tasks' TaskViews, same order
+        self.basis = None  # (VM spec means, interval) of the held views
+        self.arrivals = 0
+
+    def __len__(self):
+        return len(self.held) + len(self.inbox)
+
+    def __iter__(self):
+        """Tasks in arrival order."""
+        return iter([task for _, task in self._in_arrival_order()])
+
+    def _in_arrival_order(self):
+        held = sorted(self.held, key=lambda entry: entry[1])
+        return [(number, task) for _, number, task in held] + self.inbox
+
+    def append(self, task):
+        self.inbox.append((self.arrivals, task))
+        self.arrivals += 1
+
+    def extend(self, tasks):
+        for task in tasks:
+            self.append(task)
+
+    def take(self, vms, means, interval_s):
+        """Map the backlog onto ``vms`` (whose spec means are ``means``) and
+        remove the tasks placed; returns (task, vm id) pairs in walk order."""
+        if (means, interval_s) != self.basis:
+            self.basis = (means, interval_s)
+            self.inbox = self._in_arrival_order()
+            self.held, self.views = [], []
+        if self.inbox:
+            self._insert_inbox(vms, means, interval_s)
+        hits = utilization.map_workloads(self.views, vms,
+                                         mean_mips=means[0]).hits
+        placed = [(self.held[i][2], vm_id) for i, vm_id in hits]
+        if len(hits) == len(self.held):
+            self.held, self.views = [], []
+        else:
+            for i, _ in reversed(hits):
+                del self.held[i], self.views[i]
+        return placed
+
+    def _insert_inbox(self, vms, means, interval_s):
+        views = utilization.task_views([task for _, task in self.inbox], vms,
+                                       interval_s, means=means)
+        arrival = {id(view): item for view, item in zip(views, self.inbox)}
+        views = utilization.utilization_sort(views)
+        key = utilization.sort_key()
+        entries = [(key(view), *arrival[id(view)]) for view in views]
+        self.inbox = []
+        if not self.held:
+            self.held, self.views = entries, views
+            return
+        # New entries ascend and carry later arrival numbers than any held
+        # task, so each goes after every held task with an equal key.
+        points, lo = [], 0
+        for entry in entries:
+            lo = bisect.bisect_right(self.held, entry, lo)
+            points.append(lo)
+        self.held = _spliced(self.held, points, entries)
+        self.views = _spliced(self.views, points, views)
+
+
+def _spliced(old, points, items):
+    """``old`` with each of ``items`` put before ``old[points[i]]``;
+    ``points`` ascend. One copy of ``old``, not one per item."""
+    out, prev = [], 0
+    for at, item in zip(points, items):
+        out += old[prev:at]
+        out.append(item)
+        prev = at
+    out += old[prev:]
+    return out
+
+
 @dataclass
 class SimulationState:
     cfg: object
@@ -80,7 +184,7 @@ class SimulationState:
     hosts: list = field(default_factory=list)
     vms: dict = field(default_factory=dict)
     waiting: list = field(default_factory=list)
-    pending_tasks: list = field(default_factory=list)
+    pending_tasks: Backlog = field(default_factory=Backlog)
     running_tasks: list = field(default_factory=list)
     completed_tasks: list = field(default_factory=list)
     energy_j: float = 0.0
@@ -108,6 +212,14 @@ class SimulationState:
         # Host utilization as the last power phase computed it (None before
         # the first step); the next refresh reads it.
         self.host_util = None
+        # Each host's last power inputs (u, busy, has VMs) and the
+        # (total_w, dynamic_w) they gave.
+        self.host_power_memo = {}
+        # The placed VMs (VmState, in config order) and their spec means, as
+        # of the waiting list ``placed_for``.
+        self.placed_for = None
+        self.placed = []
+        self.placed_means = None
         # Least utilized host at the last refresh: unplaced VMs are scored
         # against it.
         self.fallback_host = None
@@ -168,10 +280,13 @@ def _refresh_vm_views(state):
     host_util = state.host_util
     if host_util is None:
         host_util = {h.id: _host_utilization(state, h) for h in state.hosts}
+        base_w = {h.id: energy.dynamic_power(host_util[h.id], h.spec.power.dyn)
+                  for h in state.hosts}
+    else:
+        # The power phase drew each host's dynamic power at this utilization.
+        base_w = {h.id: h.dynamic_w for h in state.hosts}
     state.fallback_host = min(state.hosts,
                               key=lambda h: (host_util[h.id], h.id))
-    base_w = {h.id: energy.dynamic_power(host_util[h.id], h.spec.power.dyn)
-              for h in state.hosts}
     step_index = state.clock_s // state.cfg.interval_s
     for vm_id, vm in state.vms.items():
         spec = vm.spec
@@ -265,14 +380,15 @@ def step(state):
         state.events.append((clock, "arrivals", str(count)))
 
     # 2. map pending tasks onto the placed (not waiting) VMs
-    waiting = set(state.waiting)
-    placed_vms = [vm for vm in state.vms.values() if vm.id not in waiting]
-    if state.pending_tasks and placed_vms:
-        views = utilization.task_views(state.pending_tasks, placed_vms, interval)
-        assignment = utilization.map_workloads(views, placed_vms)
-        by_id = {t.id: t for t in state.pending_tasks}
-        for task_id, vm_id in assignment.assigned:
-            task = by_id.pop(task_id)
+    if state.waiting != state.placed_for:
+        waiting = set(state.waiting)
+        state.placed_for = list(state.waiting)
+        state.placed = [vm for vm in state.vms.values()
+                        if vm.id not in waiting]
+        state.placed_means = utilization.vm_means(state.placed)
+    if state.pending_tasks and state.placed:
+        for task, vm_id in state.pending_tasks.take(
+                state.placed, state.placed_means, interval):
             vm = state.vms[vm_id]
             task.assigned_vm = vm_id
             task.start_s = clock
@@ -280,7 +396,6 @@ def step(state):
             vm.reserved_ram_mb += task.ram_mb
             vm.reserved_bw_bps += 8e6 * task.file_size_mb / interval
             state.running_tasks.append(task)
-        state.pending_tasks = [by_id[t] for t in by_id]
 
     # 3. VM placement by the active policy
     _refresh_vm_views(state)
@@ -308,13 +423,18 @@ def step(state):
     for host in state.hosts:
         u = state.host_util[host.id] = _host_utilization(state, host)
         busy = any(state.vms[v].reserved_mips > 0 for v in host.placed_vms)
-        active = energy.Activity(processor=bool(host.placed_vms), storage=busy,
-                                 memory=busy, network=busy, extra=busy)
-        breakdown = energy.host_power(host.spec.power, active,
-                                      host.spec.cores, u)
-        host.power_w = breakdown.total_w
-        host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
-        state.energy_j += breakdown.total_w * interval
+        inputs = (u, busy, bool(host.placed_vms))
+        memo = state.host_power_memo.get(host.id)
+        if memo is None or memo[0] != inputs:
+            active = energy.Activity(processor=inputs[2], storage=busy,
+                                     memory=busy, network=busy, extra=busy)
+            breakdown = energy.host_power(host.spec.power, active,
+                                          host.spec.cores, u)
+            memo = state.host_power_memo[host.id] = (
+                inputs, breakdown.total_w,
+                energy.dynamic_power(u, host.spec.power.dyn))
+        _, host.power_w, host.dynamic_w = memo
+        state.energy_j += host.power_w * interval
         tp = host.spec.thermal
         if cfg.thermal_mode == thermal.MODE_TIME_DEPENDENT:
             tp = dataclasses.replace(tp, t_initial_c=host.current_temp_c)

@@ -45,6 +45,11 @@ class UtilizationSnapshot:
                 raise InvalidConfig(name, "percent must be in [0, 100]")
 
 
+# Most cores a host may declare: well above any two-socket server, and low
+# enough that the power phase's per-core sum stays small.
+MAX_CORES = 4096
+
+
 @dataclass(frozen=True)
 class HostSpec:
     id: str
@@ -56,8 +61,8 @@ class HostSpec:
     power: PowerParams = field(default_factory=PowerParams)
 
     def __post_init__(self):
-        if self.cores < 1:
-            raise InvalidConfig("cores", "must be >= 1")
+        if not 1 <= self.cores <= MAX_CORES:
+            raise InvalidConfig("cores", f"must be in [1, {MAX_CORES}]")
         for name in ("mips_per_core", "ram_mb", "bandwidth_bps"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(name, "must be > 0")
@@ -180,6 +185,22 @@ class WorkloadGenConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidConfig(name, "range must be (low, high)")
+        # Every drawn task must be valid: a positive length and MIPS demand,
+        # no negative RAM or file size.
+        for name, low, reason in (
+                ("length_base_mi", self.length_base_mi, "must be > 0"),
+                ("length_scale", self.length_scale[0], "low end must be > 0"),
+                ("mips_range", self.mips_range[0], "low end must be > 0")):
+            if low <= 0:
+                raise InvalidConfig(name, reason)
+        for name, low, reason in (
+                ("ram_range", self.ram_range[0], "low end must be >= 0"),
+                ("file_base_mb", self.file_base_mb, "must be >= 0"),
+                ("file_scale", self.file_scale[0], "low end must be >= 0"),
+                ("output_base_mb", self.output_base_mb, "must be >= 0"),
+                ("output_scale", self.output_scale[0], "low end must be >= 0")):
+            if low < 0:
+                raise InvalidConfig(name, reason)
 
 
 @dataclass(frozen=True)
@@ -386,7 +407,7 @@ def config_digest(cfg):
 
 
 __all__ = [
-    "DataCenterConfig", "HostSpec", "HostState",
+    "DataCenterConfig", "HostSpec", "HostState", "MAX_CORES",
     "UtilizationSnapshot", "VmSpec", "VmState", "Workload",
     "WorkloadGenConfig", "config_digest", "config_from_dict",
     "config_to_dict", "default_datacenter", "load_config", "save_config",

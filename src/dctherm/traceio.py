@@ -150,24 +150,27 @@ def save_telemetry_csv(records, path):
 def generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
     """Draw ``count`` workloads from the configured uniform ranges.
 
-    The draw order per workload is fixed (length, mips, file, output, ram,
-    cost) so a given rng state always yields the same list.
+    One block draw takes six uniforms per workload in a fixed order
+    (length, mips, file, output, ram, cost), row by row: the same doubles
+    in the same order as six scalar draws per workload, so a given rng
+    state always yields the same list and leaves the rng in the same
+    state. ``tolist`` turns them into Python floats, as the scalar draws
+    return, so report files print them the same way.
     """
     if count < 0:
         raise ParseError("count must be >= 0")
-    out = []
-    for i in range(count):
-        length = wgcfg.length_base_mi * rng.uniform(*wgcfg.length_scale)
-        mips = rng.uniform(*wgcfg.mips_range)
-        file_mb = wgcfg.file_base_mb * rng.uniform(*wgcfg.file_scale)
-        output_mb = wgcfg.output_base_mb * rng.uniform(*wgcfg.output_scale)
-        ram = rng.uniform(*wgcfg.ram_range)
-        cost = rng.uniform(*wgcfg.cost_range)
-        out.append(Workload(
-            id=f"wl-{id_offset + i}", length_mi=length, mips_requested=mips,
-            file_size_mb=file_mb, output_size_mb=output_mb, ram_mb=ram,
-            cost_cd=cost, arrival_s=arrival_s))
-    return out
+    ranges = (wgcfg.length_scale, wgcfg.mips_range, wgcfg.file_scale,
+              wgcfg.output_scale, wgcfg.ram_range, wgcfg.cost_range)
+    draws = rng.uniform([lo for lo, _ in ranges], [hi for _, hi in ranges],
+                        size=(count, len(ranges))).tolist()
+    length_base, file_base = wgcfg.length_base_mi, wgcfg.file_base_mb
+    output_base = wgcfg.output_base_mb
+    return [Workload(id=f"wl-{id_offset + i}", length_mi=length_base * length,
+                     mips_requested=mips, file_size_mb=file_base * file_u,
+                     output_size_mb=output_base * output_u, ram_mb=ram,
+                     cost_cd=cost, arrival_s=arrival_s)
+            for i, (length, mips, file_u, output_u, ram, cost)
+            in enumerate(draws)]
 
 
 def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):

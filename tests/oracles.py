@@ -3,15 +3,35 @@
 The scheduling interpreters are coded apart from the library
 (comparator-driven insertion sort, literal queue lists) so the main
 implementations are checked against a second reading of the same
-pseudocode, not against themselves. The GRU oracles are a nine-tensor
-reference layer with the original per-gate arithmetic, and central finite
-differences of the network output.
+pseudocode, not against themselves. The workload generator's oracle
+draws each task's six uniforms one scalar call at a time. The GRU oracles
+are a nine-tensor reference layer with the original per-gate arithmetic,
+and central finite differences of the network output.
 """
 
 import numpy as np
 
 from dctherm.gru import PARAM_NAMES
+from dctherm.model import Workload
 from dctherm.thermal import ThermalClass
+
+
+def oracle_generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
+    """Six scalar uniform draws per workload, in the documented order
+    (length, mips, file, output, ram, cost)."""
+    out = []
+    for i in range(count):
+        length = wgcfg.length_base_mi * rng.uniform(*wgcfg.length_scale)
+        mips = rng.uniform(*wgcfg.mips_range)
+        file_mb = wgcfg.file_base_mb * rng.uniform(*wgcfg.file_scale)
+        output_mb = wgcfg.output_base_mb * rng.uniform(*wgcfg.output_scale)
+        ram = rng.uniform(*wgcfg.ram_range)
+        cost = rng.uniform(*wgcfg.cost_range)
+        out.append(Workload(
+            id=f"wl-{id_offset + i}", length_mi=length, mips_requested=mips,
+            file_size_mb=file_mb, output_size_mb=output_mb, ram_mb=ram,
+            cost_cd=cost, arrival_s=arrival_s))
+    return out
 
 
 def fits(task, residual):

@@ -158,7 +158,18 @@ def test_malformed_config_exit_2_without_traceback(tmp_path):
         ({"hosts": [host], "interval_s": 300.0}, "interval_s"),
         ({"hosts": [host], "vms": [{"id": "vm-0", "mips": float("nan")}]},
          "vms[0].mips"),
+        # Once a MemoryError in the power model at the first step.
+        ({"hosts": [{"id": "pm-0", "cores": 10 ** 12}]}, "hosts[0].cores"),
     ]
+    # Ranges that once passed load and failed at the first arrival (or,
+    # with no arrivals, ran and exited 0).
+    for field, value in (("mips_range", [-5, -1]), ("ram_range", [-50, -10]),
+                         ("length_scale", [0, 0])):
+        cases.append(({"hosts": [host], "vms": [{"id": "vm-0",
+                                                  "host_id": "pm-0"}],
+                       "workload": {"lambda_per_interval": 5.0,
+                                    field: value}},
+                      f"workload.{field}"))
     for i, (data, path) in enumerate(cases):
         cfg_path = tmp_path / f"bad{i}.json"
         cfg_path.write_text(json.dumps(data))

@@ -1,18 +1,20 @@
+import collections
+import copy
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from dctherm import energy, engine, thermal
+from dctherm import energy, engine, thermal, utilization
 from dctherm.engine import (SimulationState, check_sla, migration_downtime,
                             poisson_arrivals, run, run_once, step)
 from dctherm.errors import DomainError
-from dctherm.model import (DataCenterConfig, HostSpec, VmSpec, Workload,
-                           WorkloadGenConfig, default_datacenter,
+from dctherm.model import (DataCenterConfig, HostSpec, VmSpec, VmState,
+                           Workload, WorkloadGenConfig, default_datacenter,
                            validate_config)
 
-from test_golden import churn_config, matrix_config
+from test_golden import CHURN_THERMAL, churn_config, matrix_config
 
 
 def small_config(**kw):
@@ -329,3 +331,114 @@ def test_only_thermal_policies_evict_overheated_hosts(policy):
     assert report.temp_max_c > cfg.hosts[0].thermal.t_over_c
     evicted = any(kind == "overheat-evict" for _, kind, _ in report.events)
     assert evicted == policy.startswith("thermal")
+
+
+# --- the backlog kept across steps ------------------------------------------
+
+def mixed_overload_config():
+    """Four hosts filled to their RAM by VMs of three MIPS, RAM and
+    bandwidth specs, two VMs waiting, 50 arrivals per interval: the backlog
+    grows, hosts overheat, and evicted VMs of differing specs stay unplaced
+    across steps, so the placed VMs' spec means change on most steps."""
+    ram = (512.0, 512.0, 512.0, 512.0, 1024.0, 1024.0, 2048.0, 2048.0)
+    mips = (300.0, 300.0, 500.0, 500.0, 500.0, 800.0, 800.0, 1000.0)
+    hosts = tuple(HostSpec(id=f"pm-{h}", thermal=CHURN_THERMAL)
+                  for h in range(4))
+    vms = tuple(VmSpec(id=f"vm-{h}{j}", mips=mips[j], ram_mb=ram[j],
+                       bandwidth_bps=(5e7, 1e8)[j % 2], host_id=f"pm-{h}")
+                for h in range(4) for j in range(8)) \
+        + tuple(VmSpec(id=f"extra-{i}", mips=600.0, ram_mb=1024.0)
+                for i in range(2))
+    return validate_config(DataCenterConfig(
+        hosts=hosts, vms=vms, horizon_s=25 * 300, seed=11, policy="thermal",
+        workload=WorkloadGenConfig(lambda_per_interval=50.0)))
+
+
+def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
+        monkeypatch):
+    """Each step the engine places what first-fit over the whole backlog,
+    viewed afresh, would place; yet each task is viewed only once while the
+    placed VMs' spec means stay the same (one epoch)."""
+    from oracles import oracle_map
+
+    cfg = mixed_overload_config()
+    state = SimulationState(cfg=cfg, seed=cfg.seed)
+    epoch = 0
+    viewed = collections.Counter()
+    task_views = utilization.task_views
+
+    def counted_views(workloads, *args, **kwargs):
+        viewed.update((w.id, epoch) for w in workloads)
+        return task_views(workloads, *args, **kwargs)
+
+    arrivals, taken = [], []
+    generate = engine.generate_workloads
+    take = engine.Backlog.take
+
+    def recorded_generate(*args, **kwargs):
+        tasks = generate(*args, **kwargs)
+        arrivals.extend(tasks)
+        return tasks
+
+    def recorded_take(backlog, *args):
+        placed = take(backlog, *args)
+        taken.extend(placed)
+        return placed
+
+    monkeypatch.setattr(utilization, "task_views", counted_views)
+    monkeypatch.setattr(engine, "generate_workloads", recorded_generate)
+    monkeypatch.setattr(engine.Backlog, "take", recorded_take)
+
+    means, rebuilds = None, 0
+    for _ in range(cfg.step_count):
+        pending = list(state.pending_tasks)
+        waiting = set(state.waiting)
+        placed = [copy.copy(vm) for vm in state.vms.values()
+                  if vm.id not in waiting]
+        if utilization.vm_means(placed) != means:
+            means = utilization.vm_means(placed)
+            epoch += 1
+            rebuilds += bool(pending)
+        arrivals.clear()
+        taken.clear()
+        step(state)
+        views = task_views(pending + arrivals, placed, cfg.interval_s)
+        want, _ = oracle_map(views, placed)
+        assert [(task.id, vm_id) for task, vm_id in taken] == want
+    assert rebuilds >= 10 and len(state.pending_tasks) >= 50
+    assert set(viewed.values()) == {1}
+
+
+def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
+    """Tasks differ only in RAM, on a coarse grid, so many tie on the sort
+    key; those with more RAM than the mean VM RAM also tie (the key's
+    memory field is clamped at 100%), and which those are changes with the
+    fleet. Each take must equal first-fit over the whole backlog in arrival
+    order, viewed afresh."""
+    from oracles import oracle_map
+
+    rng = np.random.default_rng(17)
+    fleets = [(1024.0, 1024.0, 2048.0), (512.0, 1024.0, 2048.0, 2048.0),
+              (1536.0, 2048.0)]
+    backlog, pending, arrived = engine.Backlog(), [], 0
+    for _ in range(40):
+        ram = fleets[int(rng.integers(len(fleets)))]
+        vms = []
+        for i, r in enumerate(ram):
+            vm = VmState(spec=VmSpec(id=f"vm-{i}", ram_mb=r))
+            vm.reserved_ram_mb = float(rng.integers(0, 3) * 256)
+            vms.append(vm)
+        for _ in range(int(rng.integers(0, 8))):
+            task = Workload(id=f"t-{arrived}", length_mi=1000.0,
+                            mips_requested=100.0,
+                            ram_mb=float(rng.integers(8, 13) * 128))
+            arrived += 1
+            backlog.append(task)
+            pending.append(task)
+        want, _ = oracle_map(utilization.task_views(pending, vms), vms)
+        got = backlog.take(vms, utilization.vm_means(vms), 300)
+        assert [(task.id, vm_id) for task, vm_id in got] == want
+        taken = {task.id for task, _ in got}
+        pending = [task for task in pending if task.id not in taken]
+        assert list(backlog) == pending
+    assert len(pending) >= 20

@@ -134,6 +134,32 @@ def test_arrival_rate_above_bound_fails_at_load():
         assert model.derive_lambda(cfg) == model.MAX_ARRIVAL_RATE
 
 
+def test_workload_ranges_checked_at_load():
+    base = {"hosts": [{"id": "pm-0"}]}
+    rejected = [("length_base_mi", 0), ("length_scale", [0.0, 1.0]),
+                ("mips_range", [0, 5]), ("ram_range", [-1, 5]),
+                ("file_base_mb", -1.0), ("file_scale", [-0.5, 1.0]),
+                ("output_base_mb", -1.0), ("output_scale", [-0.5, 1.0])]
+    for field, value in rejected:
+        with pytest.raises(InvalidConfig) as err:
+            model.config_from_dict({**base, "workload": {field: value}})
+        assert err.value.field == f"workload.{field}"
+    # Zero RAM and zero-sized files are valid tasks.
+    accepted = {"ram_range": [0, 5], "file_base_mb": 0, "file_scale": [0, 1],
+                "output_base_mb": 0, "output_scale": [0, 1]}
+    model.config_from_dict({**base, "workload": accepted})
+
+
+def test_core_count_bounded_at_load():
+    for cores in (0, model.MAX_CORES + 1, 10 ** 12):
+        with pytest.raises(InvalidConfig) as err:
+            model.config_from_dict({"hosts": [{"id": "pm-0", "cores": cores}]})
+        assert err.value.field == "hosts[0].cores"
+    cfg = model.config_from_dict(
+        {"hosts": [{"id": "pm-0", "cores": model.MAX_CORES}]})
+    assert cfg.hosts[0].cores == model.MAX_CORES
+
+
 HOST = {"id": "pm-0"}
 
 # Inputs that once crashed the loader or the run, or ran anyway, each with

@@ -131,6 +131,43 @@ def test_generation_deterministic():
     assert a == b
 
 
+FLOAT_FIELDS = ("length_mi", "mips_requested", "file_size_mb",
+                "output_size_mb", "ram_mb", "cost_cd", "remaining_mi")
+
+
+def test_block_draws_match_scalar_draws():
+    from oracles import oracle_generate_workloads
+    # Integer bounds (as a JSON config may give them) must still give floats.
+    configs = (WorkloadGenConfig(),
+               WorkloadGenConfig(length_base_mi=10000, mips_range=(100, 500),
+                                 ram_range=(0, 512), cost_range=(3, 3)))
+    for cfg in configs:
+        for seed in range(20):
+            rng, oracle_rng = (np.random.default_rng(seed),
+                               np.random.default_rng(seed))
+            for count in (0, 1, 7, 100):
+                got = traceio.generate_workloads(cfg, rng, count,
+                                                 arrival_s=300, id_offset=5)
+                want = oracle_generate_workloads(cfg, oracle_rng, count,
+                                                 arrival_s=300, id_offset=5)
+                assert got == want
+                assert all(type(getattr(w, name)) is float
+                           for w in got for name in FLOAT_FIELDS)
+            assert rng.random() == oracle_rng.random()
+
+
+def test_gen_workload_csv_bytes_match_scalar_draws(tmp_path, monkeypatch):
+    from oracles import oracle_generate_workloads
+    from dctherm import cli
+    args = ["gen-workload", "--count", "300", "--seed", "9", "--out"]
+    assert cli.main(args + [str(tmp_path / "block.csv")]) == 0
+    monkeypatch.setattr(traceio, "generate_workloads",
+                        oracle_generate_workloads)
+    assert cli.main(args + [str(tmp_path / "scalar.csv")]) == 0
+    assert (tmp_path / "block.csv").read_bytes() \
+        == (tmp_path / "scalar.csv").read_bytes()
+
+
 def test_spread_arrivals_exact_count():
     cfg = WorkloadGenConfig()
     tasks = traceio.spread_arrivals(cfg, np.random.default_rng(6), 200,

@@ -9,8 +9,9 @@ from dctherm.utilization import (ResourceLedger, map_workloads, task_views,
 
 
 def make_vm(idx, mips=500, ram=1024, resource=0.0, mem=0.0, disk=0.0, net=0.0,
-            e_total=0.0, reserved_mips=0.0, reserved_ram=0.0):
-    vm = VmState(spec=VmSpec(id=f"vm-{idx}", mips=mips, ram_mb=ram))
+            e_total=0.0, reserved_mips=0.0, reserved_ram=0.0, bw=1e8):
+    vm = VmState(spec=VmSpec(id=f"vm-{idx}", mips=mips, ram_mb=ram,
+                             bandwidth_bps=bw))
     vm.util = UtilizationSnapshot(resource=resource, memory_pct=mem,
                                   disk_pct=disk, network_pct=net)
     vm.e_total_w = e_total
@@ -228,6 +229,34 @@ def test_oracle_equivalence_200_cases():
                  for i in range(n_tasks)]
         views = task_views(tasks, vms)
         got = map_workloads(views, vms)
+        want_assigned, want_unassigned = oracle_map(views, vms)
+        assert got.assigned == want_assigned
+        assert got.unassigned == want_unassigned
+
+
+def test_presorted_walk_that_stops_early_matches_oracle():
+    # The engine's path: views already in walk order, and the mean MIPS they
+    # were taken against, so the walk may skip and stop early. Coarse values
+    # make ties and exact fits (a task's MIPS equal to the largest residual)
+    # common, where an off-by-one bound would show.
+    from oracles import oracle_map
+    rng = np.random.default_rng(505)
+    for _ in range(300):
+        vms = [make_vm(i, mips=float(rng.integers(2, 8) * 100),
+                       ram=float(rng.integers(2, 8) * 128),
+                       resource=float(rng.choice([0.1, 0.5])),
+                       e_total=float(rng.choice([4.0, 9.0])),
+                       reserved_mips=float(rng.integers(0, 3) * 100),
+                       reserved_ram=float(rng.integers(0, 3) * 128),
+                       bw=float(rng.integers(1, 6) * 8e6))
+               for i in range(int(rng.integers(1, 5)))]
+        # A 300 MB file over 300 s needs 8e6 bit/s.
+        tasks = [task(i, mips=float(rng.integers(1, 8) * 100),
+                      ram=float(rng.integers(1, 8) * 64))
+                 for i in range(int(rng.integers(0, 12)))]
+        views = task_views(tasks, vms)
+        mean_mips = utilization.vm_means(vms)[0]
+        got = map_workloads(utilization_sort(views), vms, mean_mips=mean_mips)
         want_assigned, want_unassigned = oracle_map(views, vms)
         assert got.assigned == want_assigned
         assert got.unassigned == want_unassigned
