@@ -1,11 +1,12 @@
 """dctherm: thermal-aware datacenter resource-management simulator.
 
-A numpy library with four parts: a component-tree power model, utilization
-metrics feeding a greedy task mapper, a first-order CPU temperature model
-with hot/warm/cold VM scheduling, and a gated-recurrent temperature
-predictor trained on (or synthesizing) server telemetry. A discrete-event
-engine ties them together and emits QoS reports (energy, SLA violation
-rate, migrations, temperature).
+A numpy library with four parts: a component-tree power model, a greedy
+task mapper that sorts per-VM reservation percents against per-task demand
+estimates (no standalone utilization metrics), a first-order CPU
+temperature model with hot/warm/cold VM scheduling, and a gated-recurrent
+temperature predictor trained on (or synthesizing) server telemetry. A
+discrete-event engine ties them together and emits QoS reports (energy,
+SLA violation rate, migrations, temperature).
 """
 
 from .energy import (Activity, ComputingBreakdown, DynamicEnergyParams,
@@ -31,11 +32,8 @@ from .scheduler import (PlacementAction, QueueSet, Snapshot,
                         schedule_round)
 from .thermal import (ThermalClass, ThermalParams, VmThresholds, classify_vm,
                       cpu_temperature, vm_delta_temperature, vm_thresholds)
-from .traceio import (TelemetryDataset, UtilizationTrace, generate_workloads,
+from .traceio import (UtilizationTrace, generate_workloads,
                       load_planetlab_trace, load_telemetry_csv, write_report)
-from .utilization import (Assignment, ResourceLedger, disk_utilization,
-                          disk_utilization_au, map_workloads,
-                          memory_utilization, network_utilization,
-                          resource_utilization, utilization_sort)
+from .utilization import Assignment, map_workloads, utilization_sort
 
 __version__ = "0.1.0"

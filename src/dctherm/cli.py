@@ -91,8 +91,8 @@ def _cmd_simulate(args):
 
 def _windows_from_args(args):
     if args.data:
-        dataset = traceio.load_telemetry_csv(args.data)
-        windows = predictor.sliding_windows(dataset.records)
+        records = traceio.load_telemetry_csv(args.data)
+        windows = predictor.sliding_windows(records)
         test_count = args.test_count or max(1, len(windows) // 11)
         if test_count >= len(windows):
             raise InvalidConfig("test_count", "no windows left for training")
@@ -118,8 +118,8 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = predictor.load_model(args.model)
-    dataset = traceio.load_telemetry_csv(args.data)
-    preds, actuals = predictor.predict_records(model, dataset.records)
+    records = traceio.load_telemetry_csv(args.data)
+    preds, actuals = predictor.predict_records(model, records)
     accuracy = predictor.prediction_accuracy(preds, actuals, args.epsilon)
     errors = np.abs(preds - actuals)
     print(f"windows={len(preds)} accuracy={accuracy:.4f} "

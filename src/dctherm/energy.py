@@ -198,16 +198,8 @@ def cooling_power(ac_w, compressor_w, fan_w):
 
 
 def total_power(computing, cooling_w):
-    """Assemble the full EnergyBreakdown.
-
-    ``computing`` is either a ComputingBreakdown or a bare wattage; a bare
-    value is recorded under the processor slot so the additivity invariant
-    stays exact.
-    """
-    if not isinstance(computing, ComputingBreakdown):
-        if computing < 0:
-            raise DomainError("computing_w must be >= 0")
-        computing = ComputingBreakdown(processor_w=float(computing))
+    """Assemble the full EnergyBreakdown from a ComputingBreakdown and the
+    cooling draw."""
     if cooling_w < 0:
         raise DomainError("cooling_w must be >= 0")
     watts = computing.watts

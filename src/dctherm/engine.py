@@ -18,8 +18,9 @@ A step does each task's and each host's work once, not once per step:
 - the placed VMs and their spec means are recomputed only when the
   waiting list changes;
 - the power phase reuses a host's last power figures while its
-  utilization, busy flag and having VMs at all are unchanged, and the next
-  refresh reads the dynamic draw it left on the host;
+  utilization, busy flag and having VMs at all are unchanged; it keeps
+  them on the host, where the next refresh reads the utilization and the
+  dynamic draw;
 - the predicted temperature change (delta-T) that the scheduler
   classifies on is computed only for the VMs awaiting placement.
 
@@ -197,7 +198,9 @@ class SimulationState:
 
     def __post_init__(self):
         for spec in self.cfg.hosts:
-            host = HostState(spec=spec, current_temp_c=spec.thermal.t_initial_c)
+            host = HostState(
+                spec=spec, current_temp_c=spec.thermal.t_initial_c,
+                dynamic_w=energy.dynamic_power(0.0, spec.power.dyn))
             self.hosts.append(host)
             self.temp_series[spec.id] = []
         self.host_by_id = {h.id: h for h in self.hosts}
@@ -209,12 +212,6 @@ class SimulationState:
                 self.host_by_id[spec.host_id].placed_vms.append(spec.id)
             else:
                 self.waiting.append(spec.id)
-        # Host utilization as the last power phase computed it (None before
-        # the first step); the next refresh reads it.
-        self.host_util = None
-        # Each host's last power inputs (u, busy, has VMs) and the
-        # (total_w, dynamic_w) they gave.
-        self.host_power_memo = {}
         # The placed VMs (VmState, in config order) and their spec means, as
         # of the waiting list ``placed_for``.
         self.placed_for = None
@@ -277,16 +274,7 @@ def _refresh_vm_views(state):
     _predict_delta_t, which runs only for the VMs awaiting placement."""
     from .model import UtilizationSnapshot
 
-    host_util = state.host_util
-    if host_util is None:
-        host_util = {h.id: _host_utilization(state, h) for h in state.hosts}
-        base_w = {h.id: energy.dynamic_power(host_util[h.id], h.spec.power.dyn)
-                  for h in state.hosts}
-    else:
-        # The power phase drew each host's dynamic power at this utilization.
-        base_w = {h.id: h.dynamic_w for h in state.hosts}
-    state.fallback_host = min(state.hosts,
-                              key=lambda h: (host_util[h.id], h.id))
+    state.fallback_host = min(state.hosts, key=lambda h: (h.cpu_util, h.id))
     step_index = state.clock_s // state.cfg.interval_s
     for vm_id, vm in state.vms.items():
         spec = vm.spec
@@ -322,9 +310,9 @@ def _refresh_vm_views(state):
             continue
         host = _scoring_host(state, vm)
         u_share = spec.mips * share / host.spec.total_mips
-        with_vm = energy.dynamic_power(min(1.0, host_util[host.id] + u_share),
+        with_vm = energy.dynamic_power(min(1.0, host.cpu_util + u_share),
                                        host.spec.power.dyn)
-        vm.e_total_w = max(0.0, with_vm - base_w[host.id])
+        vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
 
 
 def _predict_delta_t(state):
@@ -419,21 +407,17 @@ def step(state):
                 state.events.append((clock, "overheat-unresolved", vm_id))
 
     # 4. energy + 5. temperature per host
-    state.host_util = {}
     for host in state.hosts:
-        u = state.host_util[host.id] = _host_utilization(state, host)
+        u = host.cpu_util = _host_utilization(state, host)
         busy = any(state.vms[v].reserved_mips > 0 for v in host.placed_vms)
         inputs = (u, busy, bool(host.placed_vms))
-        memo = state.host_power_memo.get(host.id)
-        if memo is None or memo[0] != inputs:
+        if inputs != host.power_inputs:
+            host.power_inputs = inputs
             active = energy.Activity(processor=inputs[2], storage=busy,
                                      memory=busy, network=busy, extra=busy)
-            breakdown = energy.host_power(host.spec.power, active,
-                                          host.spec.cores, u)
-            memo = state.host_power_memo[host.id] = (
-                inputs, breakdown.total_w,
-                energy.dynamic_power(u, host.spec.power.dyn))
-        _, host.power_w, host.dynamic_w = memo
+            host.power_w = energy.host_power(host.spec.power, active,
+                                             host.spec.cores, u).total_w
+            host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
         state.energy_j += host.power_w * interval
         tp = host.spec.thermal
         if cfg.thermal_mode == thermal.MODE_TIME_DEPENDENT:

@@ -22,10 +22,6 @@ class DomainError(DcthermError):
     """An argument is outside the documented domain of an operation."""
 
 
-class EmptyLedger(DomainError):
-    """Resource-utilization ledger has no entries."""
-
-
 class EmptyInput(DomainError):
     """An operation that needs at least one element got none."""
 

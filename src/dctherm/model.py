@@ -74,13 +74,20 @@ class HostSpec:
 
 @dataclass
 class HostState:
-    """Runtime view of one physical machine."""
+    """Runtime view of one physical machine.
+
+    The engine builds each host with ``dynamic_w`` at utilization 0; its
+    power phase writes the last four fields each step, and the next step's
+    VM refresh and delta-T read ``cpu_util`` and ``dynamic_w``.
+    """
 
     spec: HostSpec
     current_temp_c: float
     placed_vms: list = field(default_factory=list)
     power_w: float = 0.0          # total draw (all seven leaves)
     dynamic_w: float = 0.0        # dynamic processor draw, feeds the RC model
+    cpu_util: float = 0.0         # CPU utilization both draws were taken at
+    power_inputs: tuple | None = None  # (cpu_util, busy, has VMs) behind them
 
     @property
     def id(self):

@@ -38,13 +38,6 @@ class UtilizationTrace:
         return len(self.samples) * self.spacing_s
 
 
-@dataclass(frozen=True)
-class TelemetryDataset:
-    """Telemetry rows in file order, time-ordered within each server."""
-
-    records: tuple
-
-
 def sample_telemetry_path():
     """Path of the six-row telemetry sample shipped with the package."""
     return os.path.join(os.path.dirname(__file__), "data", "sample_telemetry.csv")
@@ -92,7 +85,8 @@ def _timestamp_key(text):
 
 
 def load_telemetry_csv(path):
-    """Read a telemetry CSV with the exact documented header."""
+    """Read a telemetry CSV with the exact documented header; returns its
+    TelemetryRecords in file order, time-ordered within each server."""
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -132,7 +126,7 @@ def load_telemetry_csv(path):
             if key is not None:
                 last_ts[record.server_id] = key
             records.append(record)
-    return TelemetryDataset(records=tuple(records))
+    return tuple(records)
 
 
 def save_telemetry_csv(records, path):

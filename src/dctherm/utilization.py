@@ -1,35 +1,18 @@
-"""Utilization metrics and the utilization-driven task->VM mapping.
+"""The utilization-driven task->VM mapping.
 
-The four metrics keep the units their formulas emit: resource utilization
-is a dimensionless sum/fraction, the other three are percents. The mapper
-is the greedy two-sort algorithm: tasks ascending by estimated demand, VMs
-descending by utilization (energy first), each task to the first VM that
-still fits it. ``sort_key`` is the one ordering and ``map_workloads`` the
-one walk; the engine's backlog keeps its tasks in that order and passes
-them in already sorted.
+The mapper sorts on utilization snapshots: each VM's reservation percents
+(the engine's refresh writes them) and each task's demand estimated
+against the VMs' spec means (``task_views``). Resource utilization is a
+fraction, the other three fields percents. The mapper is the greedy
+two-sort algorithm: tasks ascending by estimated demand, VMs descending by
+utilization (energy first), each task to the first VM that still fits it.
+``sort_key`` is the one ordering and ``map_workloads`` the one walk; the
+engine's backlog keeps its tasks in that order and passes them in already
+sorted.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
-
-from .errors import DomainError, EmptyLedger
-
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ResourceLedger:
-    """Per-resource (busy seconds, uptime seconds) pairs."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        for i, (busy, uptime) in enumerate(self.entries):
-            if uptime <= 0:
-                raise DomainError(f"ledger[{i}]: uptime must be > 0")
-            if not 0 <= busy <= uptime:
-                raise DomainError(f"ledger[{i}]: busy must be in [0, uptime]")
 
 
 @dataclass
@@ -50,56 +33,6 @@ class Assignment:
         """Workload ids of the tasks left over, in walk order."""
         placed = {i for i, _ in self.hits}
         return [t.id for i, t in enumerate(self.ordered) if i not in placed]
-
-
-def resource_utilization(ledger):
-    """Sum of busy/uptime ratios over all resources, plus its mean.
-
-    The raw sum is the literal formula (it can exceed 1 with several
-    resources); the mean is the raw sum / n and always lies in [0, 1].
-    """
-    if not ledger.entries:
-        raise EmptyLedger("resource ledger has no entries")
-    raw = sum(busy / uptime for busy, uptime in ledger.entries)
-    return raw, raw / len(ledger.entries)
-
-
-def memory_utilization(total_mb, free_mb, buffers_mb, cache_mb):
-    """Percent of physical memory that is neither free nor reclaimable."""
-    if total_mb <= 0:
-        raise DomainError("total_mb must be > 0")
-    reclaimable = free_mb + buffers_mb + cache_mb
-    if reclaimable > total_mb:
-        raise DomainError("free + buffers + cache exceeds total memory")
-    return 100.0 * (total_mb - reclaimable) / total_mb
-
-
-def disk_utilization(used, size):
-    """Percent of disk used."""
-    if size <= 0:
-        raise DomainError("size must be > 0")
-    if used > size:
-        raise DomainError("used exceeds size")
-    return 100.0 * used / size
-
-
-def disk_utilization_au(alloc_units, used_units, size_units):
-    """Allocation-unit form; the unit size cancels, so this equals
-    disk_utilization(used_units, size_units)."""
-    if alloc_units <= 0:
-        raise DomainError("alloc_units must be > 0")
-    return disk_utilization(alloc_units * used_units, alloc_units * size_units)
-
-
-def network_utilization(data_bits, bandwidth_bps, interval_s):
-    """Percent of link capacity used over an interval, clamped at 100."""
-    if bandwidth_bps <= 0 or interval_s <= 0:
-        raise DomainError("bandwidth and interval must be > 0")
-    pct = 100.0 * data_bits / (bandwidth_bps * interval_s)
-    if pct > 100.0:
-        log.warning("network utilization %.2f%% exceeds capacity, clamped", pct)
-        return 100.0
-    return pct
 
 
 def sort_key(is_vm=False, decreasing=False):

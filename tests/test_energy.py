@@ -104,9 +104,11 @@ def test_cooling_power():
 
 
 def test_total_power_identity_and_zero():
-    assert energy.total_power(0.0, 0.0).total_w == 0.0
+    zero = energy.ComputingBreakdown()
+    assert energy.total_power(zero, 0.0).total_w == 0.0
     for x in (1.0, 17.5, 300.0):
-        assert energy.total_power(x, 0.0).total_w == x
+        parts = energy.ComputingBreakdown(processor_w=x)
+        assert energy.total_power(parts, 0.0).total_w == x
 
 
 def test_breakdown_additivity_randomized():

@@ -301,6 +301,85 @@ def test_delta_t_computed_only_for_waiting_vms(monkeypatch):
     assert calls == []
 
 
+def test_step_zero_delta_t_sees_the_idle_dynamic_draw(monkeypatch):
+    # The refresh scores a waiting VM's power share against the host's
+    # dynamic draw at utilization 0; delta-T must add it to that same draw.
+    host_draws = []
+    real = thermal.vm_delta_temperature
+
+    def recording(vm_power_w, host_power_w, *args, **kwargs):
+        host_draws.append(host_power_w)
+        return real(vm_power_w, host_power_w, *args, **kwargs)
+
+    monkeypatch.setattr(thermal, "vm_delta_temperature", recording)
+    hosts = (HostSpec(id="pm-0"), HostSpec(id="pm-1"))
+    cfg = validate_config(DataCenterConfig(
+        hosts=hosts, vms=(VmSpec(id="vm-0"),), horizon_s=300,
+        policy="thermal"))
+    step(SimulationState(cfg=cfg, seed=1))
+    assert host_draws == [energy.dynamic_power(0.0, hosts[0].power.dyn)]
+
+
+# --- the four policies make four different runs -----------------------------
+
+def allocation_pair_config(policy):
+    """Three hosts: two VMs on pm-1, one on pm-2 and two waiting. The hosts
+    differ in placed MIPS at step 0, so the two first-fit orders differ."""
+    hosts = tuple(HostSpec(id=f"pm-{i}") for i in range(3))
+    vms = (VmSpec(id="p0", host_id="pm-1"), VmSpec(id="p1", host_id="pm-1"),
+           VmSpec(id="p2", host_id="pm-2"), VmSpec(id="w0"),
+           VmSpec(id="w1"))
+    return validate_config(DataCenterConfig(
+        hosts=hosts, vms=vms, horizon_s=10 * 300, seed=3, policy=policy,
+        workload=WorkloadGenConfig(lambda_per_interval=5.0)))
+
+
+def eviction_pair_config(policy):
+    """pm-0's limits sit below its idle temperature (31.97 C), so step 1
+    evicts its two VMs; the three other hosts are idle and tie on headroom
+    while holding three, zero and one VMs."""
+    hot = thermal.ThermalParams(t_over_c=30.0, t_danger_c=25.0,
+                                t_normal_c=20.0, theta_cl_c=20.0,
+                                theta_ch_c=25.0)
+    hosts = (HostSpec(id="pm-0", thermal=hot),) \
+        + tuple(HostSpec(id=f"pm-{i}") for i in range(1, 4))
+    vms = (VmSpec(id="a0", host_id="pm-0"), VmSpec(id="a1", host_id="pm-0"),
+           VmSpec(id="b0", host_id="pm-1"), VmSpec(id="b1", host_id="pm-1"),
+           VmSpec(id="b2", host_id="pm-1"), VmSpec(id="c0", host_id="pm-3"))
+    return validate_config(DataCenterConfig(
+        hosts=hosts, vms=vms, horizon_s=10 * 300, seed=3, policy=policy,
+        workload=WorkloadGenConfig(lambda_per_interval=3.0)))
+
+
+def placements(report):
+    return [(clock, kind, detail) for clock, kind, detail in report.events
+            if kind in ("allocate", "migrate")]
+
+
+def test_utilization_policy_consolidates_where_fcfs_spreads():
+    fcfs = run_once(allocation_pair_config("fcfs"))
+    util = run_once(allocation_pair_config("utilization"))
+    assert placements(fcfs) == [(0, "allocate", "w0->pm-0"),
+                                (0, "allocate", "w1->pm-0")]
+    assert placements(util) == [(0, "allocate", "w0->pm-1"),
+                                (0, "allocate", "w1->pm-1")]
+    assert fcfs.summary_row() != util.summary_row()
+    assert round(fcfs.total_energy_kwh, 4) == 1.3402
+    assert round(util.total_energy_kwh, 4) == 1.2538
+
+
+def test_utilization_tie_break_sends_evicted_vms_to_emptier_hosts():
+    plain = run_once(eviction_pair_config("thermal"))
+    tied = run_once(eviction_pair_config("thermal+utilization"))
+    assert placements(plain) == [(300, "migrate", "a0:pm-0->pm-1"),
+                                 (300, "migrate", "a1:pm-0->pm-2")]
+    assert placements(tied) == [(300, "migrate", "a0:pm-0->pm-2"),
+                                (300, "migrate", "a1:pm-0->pm-3")]
+    assert plain.summary_row() != tied.summary_row()
+    assert round(plain.temp_max_c, 2) == 35.05
+    assert round(tied.temp_max_c, 2) == 33.81
+
+
 # --- placement invariant the engine relies on -------------------------------
 
 @pytest.mark.parametrize("mode", (thermal.MODE_LITERAL,
@@ -442,3 +521,68 @@ def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
         pending = [task for task in pending if task.id not in taken]
         assert list(backlog) == pending
     assert len(pending) >= 20
+
+
+# --- invariants over random small configs -----------------------------------
+
+# Limits just above the idle temperature (31.97 C): any load overheats.
+NEAR_IDLE_THERMAL = thermal.ThermalParams(
+    t_over_c=33.0, t_danger_c=32.5, t_normal_c=29.0, theta_cl_c=29.0,
+    theta_ch_c=32.5)
+
+
+def random_config(rng):
+    """One to four hosts of one to eight cores, most with limits low enough
+    for the thermal policies to evict; up to twelve VMs of random specs, each
+    placed on a random host with room for it or left waiting; up to twelve
+    arrivals per interval."""
+    limits = (thermal.ThermalParams(), CHURN_THERMAL, NEAR_IDLE_THERMAL)
+    hosts = tuple(
+        HostSpec(id=f"pm-{i}", cores=int(rng.integers(1, 9)),
+                 thermal=limits[int(rng.integers(3))])
+        for i in range(int(rng.integers(1, 5))))
+    room = {h.id: [h.total_mips, h.ram_mb] for h in hosts}
+    vms = []
+    for i in range(int(rng.integers(0, 13))):
+        mips = float(rng.choice([250.0, 500.0, 1000.0, 2000.0]))
+        ram = float(rng.choice([256.0, 512.0, 1024.0, 2048.0]))
+        host_id = str(rng.choice([h.id for h in hosts]))
+        if rng.random() < 0.5 or mips > room[host_id][0] \
+                or ram > room[host_id][1]:
+            host_id = None
+        else:
+            room[host_id][0] -= mips
+            room[host_id][1] -= ram
+        vms.append(VmSpec(id=f"vm-{i}", mips=mips, ram_mb=ram,
+                          host_id=host_id))
+    return DataCenterConfig(
+        hosts=hosts, vms=tuple(vms), horizon_s=30 * 300,
+        seed=int(rng.integers(2 ** 32)),
+        workload=WorkloadGenConfig(
+            lambda_per_interval=float(rng.uniform(0.0, 12.0))))
+
+
+def test_engine_invariants_hold_after_every_step():
+    rng = np.random.default_rng(2026)
+    for _ in range(10):
+        base = random_config(rng)
+        for policy in ("fcfs", "utilization", "thermal",
+                       "thermal+utilization"):
+            for mode in thermal.MODES:
+                cfg = validate_config(dataclasses.replace(
+                    base, policy=policy, thermal_mode=mode))
+                state = SimulationState(cfg=cfg, seed=cfg.seed)
+                for _ in range(cfg.step_count):
+                    energy_before = state.energy_j
+                    step(state)
+                    assert state.tasks_generated == (
+                        len(state.pending_tasks) + len(state.running_tasks)
+                        + len(state.completed_tasks))
+                    for host in state.hosts:
+                        placed = sum(state.vms[v].spec.mips
+                                     for v in host.placed_vms)
+                        assert placed <= host.spec.total_mips
+                    drawn = sum(h.power_w for h in state.hosts) \
+                        * cfg.interval_s
+                    assert abs(state.energy_j - energy_before - drawn) \
+                        <= 1e-9 * drawn

@@ -58,9 +58,9 @@ def test_planetlab_missing_file():
 # --- telemetry csv ----------------------------------------------------------
 
 def test_shipped_sample_first_row():
-    dataset = traceio.load_telemetry_csv(traceio.sample_telemetry_path())
-    assert len(dataset.records) == 6
-    first = dataset.records[0]
+    records = traceio.load_telemetry_csv(traceio.sample_telemetry_path())
+    assert len(records) == 6
+    first = records[0]
     assert first.server_id == "N1"
     assert first.fan_rpm == (4214.0, 4289.0, 4230.0, 4264.0, 4263.0)
     assert (first.system_pct, first.memory_pct, first.cpu_pct, first.io_pct) \
@@ -100,7 +100,7 @@ def test_telemetry_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     traceio.save_telemetry_csv(records, path)
     loaded = traceio.load_telemetry_csv(path)
-    assert list(loaded.records) == records
+    assert list(loaded) == records
 
 
 # --- workload generation ----------------------------------------------------

@@ -1,11 +1,8 @@
 import numpy as np
-import pytest
 
 from dctherm import utilization
-from dctherm.errors import DomainError, EmptyLedger
 from dctherm.model import UtilizationSnapshot, VmSpec, VmState, Workload
-from dctherm.utilization import (ResourceLedger, map_workloads, task_views,
-                                 utilization_sort)
+from dctherm.utilization import map_workloads, task_views, utilization_sort
 
 
 def make_vm(idx, mips=500, ram=1024, resource=0.0, mem=0.0, disk=0.0, net=0.0,
@@ -18,55 +15,6 @@ def make_vm(idx, mips=500, ram=1024, resource=0.0, mem=0.0, disk=0.0, net=0.0,
     vm.reserved_mips = reserved_mips
     vm.reserved_ram_mb = reserved_ram
     return vm
-
-
-# --- metric formulas -------------------------------------------------------
-
-def test_resource_utilization_fully_busy():
-    raw, mean = utilization.resource_utilization(ResourceLedger(((100, 100),)))
-    assert raw == 1.0 and mean == 1.0
-
-
-def test_resource_utilization_hand_values():
-    raw, mean = utilization.resource_utilization(ResourceLedger(((30, 100),)))
-    assert raw == pytest.approx(0.3) and mean == pytest.approx(0.3)
-    raw, mean = utilization.resource_utilization(
-        ResourceLedger(((30, 100), (70, 100))))
-    assert raw == pytest.approx(1.0) and mean == pytest.approx(0.5)
-
-
-def test_resource_utilization_empty():
-    with pytest.raises(EmptyLedger):
-        utilization.resource_utilization(ResourceLedger(()))
-
-
-def test_memory_utilization():
-    assert utilization.memory_utilization(100, 50, 25, 25) == 0.0
-    assert utilization.memory_utilization(16384, 4096, 2048, 2048) == 50.0
-    assert utilization.memory_utilization(8192, 0, 0, 0) == 100.0
-    with pytest.raises(DomainError):
-        utilization.memory_utilization(100, 80, 30, 0)
-
-
-def test_disk_utilization_and_unit_form():
-    assert utilization.disk_utilization(1000, 1000) == 100.0
-    assert utilization.disk_utilization(250, 1000) == 25.0
-    with pytest.raises(DomainError):
-        utilization.disk_utilization(2, 1)
-    # allocation units cancel
-    for used, size in ((3, 10), (250, 1000), (7, 7)):
-        assert utilization.disk_utilization_au(4096, used, size) \
-            == utilization.disk_utilization(used, size)
-
-
-def test_network_utilization():
-    assert utilization.network_utilization(1000 * 10, 1000, 10) == 100.0
-    assert utilization.network_utilization(500, 1000, 1) == 50.0
-    assert utilization.network_utilization(0, 1000, 1) == 0.0
-    # clamped with a warning rather than failing
-    assert utilization.network_utilization(10 ** 9, 10, 1) == 100.0
-    with pytest.raises(DomainError):
-        utilization.network_utilization(1, 0, 1)
 
 
 # --- sorting ---------------------------------------------------------------
