@@ -36,7 +36,7 @@ print("  (the raw low sits below any reachable delta-T, so configs may "
 
 print("\n== classifying VMs by their predicted temperature change ==")
 for vm_power in (0.5, 4.0, 12.0, 30.0):
-    delta = thermal.vm_delta_temperature(vm_power, 40.0, tp)
+    delta = thermal.vm_delta_temperature(vm_power, tp)
     klass = thermal.classify_vm(delta, thermal.VmThresholds(1.0, 5.0))
     print(f"  VM adding {vm_power:5.1f} W -> delta-T {delta:5.2f} C -> "
           f"{klass.value}")

@@ -12,10 +12,9 @@ SLA violation rate, migrations, temperature).
 from .energy import (Activity, ComputingBreakdown, DynamicEnergyParams,
                      EnergyBreakdown, PowerParams, computing_power,
                      cooling_power, dynamic_power, host_power,
-                     processor_power, total_power)
+                     total_power)
 from .engine import (SimulationReport, SimulationState, check_sla,
-                     migration_downtime, poisson_arrivals, run, run_once,
-                     step)
+                     migration_downtime, run, run_once, step)
 from .gru import FeatureNorm, GruLayer, GruModel
 from .model import (DataCenterConfig, HostSpec, HostState,
                     UtilizationSnapshot, VmSpec, VmState, Workload,
@@ -33,7 +32,8 @@ from .scheduler import (PlacementAction, QueueSet, Snapshot,
 from .thermal import (ThermalClass, ThermalParams, VmThresholds, classify_vm,
                       cpu_temperature, vm_delta_temperature, vm_thresholds)
 from .traceio import (UtilizationTrace, generate_workloads,
-                      load_planetlab_trace, load_telemetry_csv, write_report)
+                      load_planetlab_trace, load_telemetry_csv,
+                      poisson_arrivals, write_report)
 from .utilization import Assignment, map_workloads, utilization_sort
 
 __version__ = "0.1.0"

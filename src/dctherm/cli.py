@@ -7,6 +7,8 @@ failure.
 
 import argparse
 import dataclasses
+import math
+import os
 import sys
 
 import numpy as np
@@ -21,6 +23,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+
+def _number(kind, low):
+    """argparse type: a finite ``kind`` (int or float) >= ``low``."""
+    def number(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
+        return value
+    return number
 
 
 def build_parser():
@@ -40,18 +52,18 @@ def build_parser():
     train = sub.add_parser("train-predictor", help="fit the temperature network")
     src = train.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="telemetry CSV to train on")
-    src.add_argument("--synthetic", type=int, metavar="N",
+    src.add_argument("--synthetic", type=_number(int, 1), metavar="N",
                      help="train on N synthesized telemetry windows")
-    train.add_argument("--test-count", type=int, default=None,
+    train.add_argument("--test-count", type=_number(int, 1), default=None,
                        help="held-out windows (default N//11 for synthetic)")
-    train.add_argument("--epochs", type=int, default=300)
+    train.add_argument("--epochs", type=_number(int, 0), default=300)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True, help="model file to write")
 
     pred = sub.add_parser("predict", help="score a model against telemetry")
     pred.add_argument("--model", required=True)
     pred.add_argument("--data", required=True)
-    pred.add_argument("--epsilon", type=float, default=0.05,
+    pred.add_argument("--epsilon", type=_number(float, 0), default=0.05,
                       help="relative tolerance counted as correct")
 
     gen = sub.add_parser("gen-workload", help="write a synthetic workload CSV")
@@ -98,7 +110,7 @@ def _windows_from_args(args):
             raise InvalidConfig("test_count", "no windows left for training")
         return predictor.interleaved_split(windows, test_count)
     n_train = args.synthetic
-    n_test = args.test_count if args.test_count is not None else max(1, n_train // 11)
+    n_test = args.test_count or max(1, n_train // 11)
     windows = predictor.synthesize_windows(n_train + n_test, seed=args.seed)
     return predictor.interleaved_split(windows, n_test)
 
@@ -137,8 +149,6 @@ def _cmd_gen_workload(args):
 
 
 def _cmd_report(args):
-    import os
-
     summary = traceio.summarize_per_step(os.path.join(args.run_dir, "per_step.csv"))
     # SVR as run_once defines it, counting tasks unfinished at the horizon;
     # per_step.csv's svr_cum counts only finished tasks.

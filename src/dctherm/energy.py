@@ -153,11 +153,6 @@ def dynamic_power(u, p):
     return (linear + nonlinear) / 2.0
 
 
-def processor_power(cores):
-    """Sum of (dynamic, short-circuit, leakage, idle) draws over all cores."""
-    return float(sum(sum(core) for core in cores))
-
-
 def computing_power(p, active=Activity(), cores=1, cpu_util=0.0):
     """Compose the computing half of the tree for one host.
 
@@ -171,11 +166,14 @@ def computing_power(p, active=Activity(), cores=1, cpu_util=0.0):
         (watts, ComputingBreakdown) with the five subsystem leaves.
     """
     if active.processor:
-        dyn_per_core = dynamic_power(cpu_util, p.dyn) / cores
-        per_core = (dyn_per_core, p.short_circuit_w, p.leakage_w, p.idle_w)
+        core_w = (dynamic_power(cpu_util, p.dyn) / cores + p.short_circuit_w
+                  + p.leakage_w + p.idle_w)
     else:
-        per_core = (0.0, 0.0, 0.0, p.idle_w)
-    proc = processor_power([per_core] * cores)
+        core_w = p.idle_w
+    # A loop, not sum(), which compensates from Python 3.12: reports carry this rounding.
+    proc = 0.0
+    for _ in range(cores):
+        proc += core_w
 
     s = p.storage
     storage = (s.read_w + s.write_w + s.idle_w) if active.storage else s.idle_w

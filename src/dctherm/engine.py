@@ -31,43 +31,19 @@ index order, so results depend only on (config, seed).
 """
 
 import bisect
-import dataclasses
-import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import energy, scheduler, thermal, utilization
-from .errors import DomainError
-from .model import (MAX_ARRIVAL_RATE, HostState, VmState, config_digest,
+from .errors import DomainError, IoError
+from .model import (HostState, UtilizationSnapshot, VmState, config_digest,
                     derive_lambda, validate_config)
-from .traceio import generate_workloads
+from .traceio import generate_workloads, load_planetlab_trace, poisson_arrivals
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
-
-
-def poisson_arrivals(lam, rng):
-    """One Poisson draw by CDF inversion (a single uniform per draw).
-
-    Written out explicitly so the draw sequence is pinned by this code
-    rather than by the library's sampler internals.
-    """
-    if lam < 0:
-        raise DomainError("lambda must be >= 0")
-    if lam == 0:
-        return 0
-    if lam > MAX_ARRIVAL_RATE:
-        raise DomainError(f"arrival rate {lam} too large for inversion")
-    u = rng.random()
-    p = math.exp(-lam)
-    cum = p
-    k = 0
-    while u > cum and p > 0.0:
-        k += 1
-        p *= lam / k
-        cum += p
-    return k
 
 
 def migration_downtime(ram_mb, bandwidth_bps):
@@ -233,11 +209,6 @@ class SimulationState:
 def load_trace_assignments(trace_dir, vm_ids):
     """Map each VM to one utilization trace file (sorted order, cycled when
     there are fewer files than VMs)."""
-    import os
-
-    from .errors import IoError
-    from .traceio import load_planetlab_trace
-
     try:
         names = sorted(os.listdir(trace_dir))
     except OSError as exc:
@@ -248,11 +219,6 @@ def load_trace_assignments(trace_dir, vm_ids):
         raise IoError(f"trace dir {trace_dir} has no trace files")
     traces = [load_planetlab_trace(p) for p in paths]
     return {vm_id: traces[i % len(traces)] for i, vm_id in enumerate(vm_ids)}
-
-
-def trace_utilization(trace, step_index):
-    """CPU fraction for a step, cycling the trace past its end."""
-    return trace.samples[step_index % len(trace.samples)] / 100.0
 
 
 def _host_utilization(state, host):
@@ -272,8 +238,6 @@ def _refresh_vm_views(state):
     """Recompute each VM's utilization snapshot and power share from its
     current reservations; the mapper sorts on both. Delta-T is left to
     _predict_delta_t, which runs only for the VMs awaiting placement."""
-    from .model import UtilizationSnapshot
-
     state.fallback_host = min(state.hosts, key=lambda h: (h.cpu_util, h.id))
     step_index = state.clock_s // state.cfg.interval_s
     for vm_id, vm in state.vms.items():
@@ -282,9 +246,9 @@ def _refresh_vm_views(state):
         # most steps) skip the divisions.
         trace = state.traces.get(vm_id)
         if trace is not None:
-            # Trace-driven load: the replayed CPU percent stands in for the
-            # reservation-derived demand.
-            resource = trace_utilization(trace, step_index)
+            # Trace-driven load: the replayed CPU percent, cycling the trace
+            # past its end, stands in for the reservation-derived demand.
+            resource = trace.samples[step_index % len(trace.samples)] / 100.0
         elif vm.reserved_mips:
             resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
         else:
@@ -317,15 +281,13 @@ def _refresh_vm_views(state):
 
 def _predict_delta_t(state):
     """Predicted temperature change of each VM awaiting placement: its
-    power share, added to the draw of the host the refresh scored it
-    against. Eviction changes none of these inputs."""
-    mode = state.cfg.thermal_mode
-    dt = state.cfg.interval_s if mode == thermal.MODE_TIME_DEPENDENT else None
+    power share through the thermal constants of the host the refresh
+    scored it against. Eviction changes none of these inputs."""
+    mode, dt = state.cfg.thermal_mode, state.cfg.interval_s
     for vm_id in state.waiting:
         vm = state.vms[vm_id]
-        host = _scoring_host(state, vm)
         vm.delta_t_c = thermal.vm_delta_temperature(
-            vm.e_total_w, host.dynamic_w, host.spec.thermal, mode, dt)
+            vm.e_total_w, _scoring_host(state, vm).spec.thermal, mode, dt)
 
 
 def _apply_actions(state, actions):
@@ -419,14 +381,9 @@ def step(state):
                                              host.spec.cores, u).total_w
             host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
         state.energy_j += host.power_w * interval
-        tp = host.spec.thermal
-        if cfg.thermal_mode == thermal.MODE_TIME_DEPENDENT:
-            tp = dataclasses.replace(tp, t_initial_c=host.current_temp_c)
-            host.current_temp_c = thermal.cpu_temperature(
-                host.dynamic_w, tp, cfg.thermal_mode, interval)
-        else:
-            host.current_temp_c = thermal.cpu_temperature(
-                host.dynamic_w, tp, cfg.thermal_mode)
+        host.current_temp_c = thermal.cpu_temperature(
+            host.dynamic_w, host.spec.thermal, cfg.thermal_mode, interval,
+            host.current_temp_c)
         state.temp_series[host.id].append(host.current_temp_c)
 
     # 6. task progress, completions, SLA

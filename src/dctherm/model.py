@@ -78,7 +78,7 @@ class HostState:
 
     The engine builds each host with ``dynamic_w`` at utilization 0; its
     power phase writes the last four fields each step, and the next step's
-    VM refresh and delta-T read ``cpu_util`` and ``dynamic_w``.
+    VM refresh reads ``cpu_util`` and ``dynamic_w``.
     """
 
     spec: HostSpec

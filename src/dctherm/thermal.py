@@ -5,12 +5,13 @@ Two modes are supported for the temperature formula:
 * ``literal``: T = P*R + T_inlet + T_initial * exp(-R*C). The exponent is a
   fixed constant, so the decay term never changes over time. This
   fixed-exponent form is the default.
-* ``time-dependent``: T = P*R + T_inlet + (T_initial - P*R - T_inlet)
-  * exp(-dt/(R*C)), the standard first-order step response; converges to
-  the steady state P*R + T_inlet as dt grows.
+* ``time-dependent``: T = P*R + T_inlet + (T_start - P*R - T_inlet)
+  * exp(-dt/(R*C)), the first-order step response from the interval's
+  start temperature; converges to the steady state P*R + T_inlet as dt grows.
 
-Both modes are affine in P, so the temperature change a VM adds is exactly
-additive in VM power.
+Both modes are affine in P, so the temperature change (delta-T) a VM of
+power P_vm adds does not depend on the host's own draw: it is P_vm*R in
+literal mode and P_vm*R * (1 - exp(-dt/(R*C))) in time-dependent mode.
 """
 
 import math
@@ -39,6 +40,11 @@ class ThermalParams:
     host thresholds theta_cl/theta_ch at the normal/overheating
     temperatures, and R*C chosen so the literal mode's fixed exponent is
     e^-1.
+
+    The engine classifies every VM with the cutoffs of the first host only
+    (``SimulationState.thresholds``): its theta_vl_c/theta_vh_c and the raw
+    pair from its t_over/t_danger/t_normal. Each host's own values still
+    drive its eviction (t_over_c), headroom and queue preference.
     """
 
     r_kw: float = 0.5          # thermal resistance, K/W
@@ -89,8 +95,10 @@ class VmThresholds:
             raise InvalidConfig("theta_low_c", "must be <= theta_high_c")
 
 
-def cpu_temperature(p_watts, tp, mode=MODE_LITERAL, dt_s=None):
-    """Current CPU temperature for a host drawing ``p_watts`` dynamic power."""
+def cpu_temperature(p_watts, tp, mode=MODE_LITERAL, dt_s=None, t_start_c=None):
+    """CPU temperature of a host drawing ``p_watts`` dynamic power, after an
+    interval of ``dt_s`` seconds that starts at ``t_start_c`` (default
+    ``tp.t_initial_c``). Literal mode ignores ``dt_s`` and ``t_start_c``."""
     if p_watts < 0:
         raise DomainError("power must be >= 0")
     if mode not in MODES:
@@ -100,17 +108,22 @@ def cpu_temperature(p_watts, tp, mode=MODE_LITERAL, dt_s=None):
         return steady + tp.t_initial_c * math.exp(-tp.r_kw * tp.c_jk)
     if dt_s is None or dt_s <= 0:
         raise DomainError("time-dependent mode needs dt_s > 0")
-    return steady + (tp.t_initial_c - steady) * math.exp(-dt_s / (tp.r_kw * tp.c_jk))
+    start = tp.t_initial_c if t_start_c is None else t_start_c
+    return steady + (start - steady) * math.exp(-dt_s / (tp.r_kw * tp.c_jk))
 
 
-def vm_delta_temperature(vm_power_w, host_power_w, tp, mode=MODE_LITERAL, dt_s=None):
-    """Temperature change the VM would add to a host already drawing
-    ``host_power_w``: the difference of two temperature evaluations."""
+def vm_delta_temperature(vm_power_w, tp, mode=MODE_LITERAL, dt_s=None):
+    """Temperature change a VM drawing ``vm_power_w`` adds to a host with
+    constants ``tp``: P_vm*R, times 1 - exp(-dt/(R*C)) in time-dependent mode."""
     if vm_power_w < 0:
         raise DomainError("vm power must be >= 0")
-    with_vm = cpu_temperature(host_power_w + vm_power_w, tp, mode, dt_s)
-    without = cpu_temperature(host_power_w, tp, mode, dt_s)
-    return with_vm - without
+    if mode not in MODES:
+        raise DomainError(f"unknown thermal mode {mode!r}")
+    if mode == MODE_LITERAL:
+        return vm_power_w * tp.r_kw
+    if dt_s is None or dt_s <= 0:
+        raise DomainError("time-dependent mode needs dt_s > 0")
+    return vm_power_w * tp.r_kw * (1 - math.exp(-dt_s / (tp.r_kw * tp.c_jk)))
 
 
 def vm_thresholds(tp):

@@ -8,10 +8,11 @@ endings and UTF-8 so equal runs produce byte-identical files.
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, IoError, ParseError, SchemaError
+from .errors import DomainError, InvalidConfig, IoError, ParseError, SchemaError
 from .model import MAX_ARRIVAL_RATE, Workload
 from .predictor import CSV_COLUMNS, TelemetryRecord
 
@@ -167,12 +168,33 @@ def generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
             in enumerate(draws)]
 
 
+def poisson_arrivals(lam, rng):
+    """One Poisson draw by CDF inversion (a single uniform per draw).
+
+    Written out explicitly so the draw sequence is pinned by this code
+    rather than by the library's sampler internals.
+    """
+    if lam < 0:
+        raise DomainError("lambda must be >= 0")
+    if lam == 0:
+        return 0
+    if lam > MAX_ARRIVAL_RATE:
+        raise DomainError(f"arrival rate {lam} too large for inversion")
+    u = rng.random()
+    p = math.exp(-lam)
+    cum = p
+    k = 0
+    while u > cum and p > 0.0:
+        k += 1
+        p *= lam / k
+        cum += p
+    return k
+
+
 def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
     """Standalone workload list with arrivals spread over the horizon by
     per-interval Poisson counts (rate count / steps); any shortfall lands
     in the final interval so exactly ``count`` workloads come back."""
-    from .engine import poisson_arrivals
-
     steps = horizon_s // interval_s
     if not 0 <= count <= MAX_ARRIVAL_RATE * steps:
         raise InvalidConfig("count", f"must be in [0, {MAX_ARRIVAL_RATE * steps}]"

@@ -14,6 +14,8 @@ sorted.
 import math
 from dataclasses import dataclass, field
 
+from .model import UtilizationSnapshot
+
 
 @dataclass
 class Assignment:
@@ -90,8 +92,6 @@ def task_views(workloads, vms, interval_s=300, means=None):
     oversized tasks still sort (they just saturate the key). ``means`` is
     ``vm_means(vms)``, for a caller that holds it already.
     """
-    from .model import UtilizationSnapshot
-
     mean_mips, mean_ram, mean_bw = vm_means(vms) if means is None else means
     views = []
     for w in workloads:

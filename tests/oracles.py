@@ -4,7 +4,8 @@ The scheduling interpreters are coded apart from the library
 (comparator-driven insertion sort, literal queue lists) so the main
 implementations are checked against a second reading of the same
 pseudocode, not against themselves. The workload generator's oracle
-draws each task's six uniforms one scalar call at a time. The GRU oracles
+draws each task's six uniforms one scalar call at a time. The delta-T
+oracle takes the difference of two temperature evaluations. The GRU oracles
 are a nine-tensor reference layer with the original per-gate arithmetic,
 and central finite differences of the network output.
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from dctherm.gru import PARAM_NAMES
 from dctherm.model import Workload
-from dctherm.thermal import ThermalClass
+from dctherm.thermal import ThermalClass, cpu_temperature
 
 
 def oracle_generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
@@ -32,6 +33,13 @@ def oracle_generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
             file_size_mb=file_mb, output_size_mb=output_mb, ram_mb=ram,
             cost_cd=cost, arrival_s=arrival_s))
     return out
+
+
+def oracle_vm_delta_temperature(vm_power_w, host_power_w, tp, mode, dt_s):
+    """Temperature with the VM's power added to the host's draw, minus the
+    temperature without it."""
+    with_vm = cpu_temperature(host_power_w + vm_power_w, tp, mode, dt_s)
+    return with_vm - cpu_temperature(host_power_w, tp, mode, dt_s)
 
 
 def fits(task, residual):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dctherm import cli, traceio
 from dctherm.model import WorkloadGenConfig, config_to_dict, default_datacenter
 
@@ -191,3 +193,31 @@ def test_gen_workload_count_out_of_range_exit_2(tmp_path, capsys):
                          "--out", str(out)]) == 2
         assert not out.exists()
         assert "count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-predictor", "--synthetic", "0"],
+    ["train-predictor", "--synthetic", "-5"],
+    ["train-predictor", "--synthetic", "60", "--test-count", "0"],
+    ["train-predictor", "--synthetic", "60", "--test-count", "-2"],
+    ["train-predictor", "--data", "telemetry.csv", "--test-count", "0"],
+    ["train-predictor", "--synthetic", "60", "--epochs", "-3"],
+    ["predict", "--model", "model.bin", "--data", "telemetry.csv",
+     "--epsilon", "-1"],
+    ["predict", "--model", "model.bin", "--data", "telemetry.csv",
+     "--epsilon", "nan"],
+    ["predict", "--model", "model.bin", "--data", "telemetry.csv",
+     "--epsilon", "inf"],
+], ids=lambda argv: "_".join(argv[1:]))
+def test_out_of_range_numeric_flag_exit_2(tmp_path, capsys, argv):
+    # Each once ran (exit 0 or 4) or read its files (exit 3). The bad flag
+    # is the last one given.
+    flag = argv[-2]
+    out = tmp_path / "model.out"
+    if argv[0] == "train-predictor":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()

@@ -38,14 +38,6 @@ def test_dynamic_power_monotone_in_utilization():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_processor_power():
-    assert energy.processor_power([]) == 0.0
-    assert energy.processor_power([(1, 2, 3, 4)]) == 10.0
-    one = energy.processor_power([(1.5, 2.5, 0.25, 4.0)])
-    two = energy.processor_power([(1.5, 2.5, 0.25, 4.0)] * 2)
-    assert two == 2 * one
-
-
 def test_computing_power_component_sums():
     p = energy.PowerParams()
     watts, parts = energy.computing_power(p, cores=4, cpu_util=0.0)

@@ -301,25 +301,6 @@ def test_delta_t_computed_only_for_waiting_vms(monkeypatch):
     assert calls == []
 
 
-def test_step_zero_delta_t_sees_the_idle_dynamic_draw(monkeypatch):
-    # The refresh scores a waiting VM's power share against the host's
-    # dynamic draw at utilization 0; delta-T must add it to that same draw.
-    host_draws = []
-    real = thermal.vm_delta_temperature
-
-    def recording(vm_power_w, host_power_w, *args, **kwargs):
-        host_draws.append(host_power_w)
-        return real(vm_power_w, host_power_w, *args, **kwargs)
-
-    monkeypatch.setattr(thermal, "vm_delta_temperature", recording)
-    hosts = (HostSpec(id="pm-0"), HostSpec(id="pm-1"))
-    cfg = validate_config(DataCenterConfig(
-        hosts=hosts, vms=(VmSpec(id="vm-0"),), horizon_s=300,
-        policy="thermal"))
-    step(SimulationState(cfg=cfg, seed=1))
-    assert host_draws == [energy.dynamic_power(0.0, hosts[0].power.dyn)]
-
-
 # --- the four policies make four different runs -----------------------------
 
 def allocation_pair_config(policy):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from dctherm.errors import DomainError, InvalidConfig
 from dctherm.thermal import (ThermalClass, ThermalParams, classify_vm,
                              cpu_temperature, vm_delta_temperature,
                              vm_thresholds)
+from oracles import oracle_vm_delta_temperature
 
 
 def params(**kw):
@@ -59,21 +62,59 @@ def test_temperature_domain_errors():
         cpu_temperature(1.0, params(), "sideways")
 
 
+def test_time_dependent_step_starts_from_t_start():
+    tp = params(c_jk=600.0)
+    for start in (-5.0, 0.0, 17.0, 61.25, 120.0):
+        for p, dt in ((0.0, 1.0), (37.5, 300.0), (200.0, 1e6)):
+            moved = dataclasses.replace(tp, t_initial_c=start)
+            assert cpu_temperature(p, tp, "time-dependent", dt,
+                                   t_start_c=start) \
+                == cpu_temperature(p, moved, "time-dependent", dt)
+            assert cpu_temperature(p, tp, "literal", dt, t_start_c=start) \
+                == cpu_temperature(p, tp, "literal")
+    assert cpu_temperature(10.0, tp, "time-dependent", 300.0) \
+        == cpu_temperature(10.0, tp, "time-dependent", 300.0,
+                           t_start_c=tp.t_initial_c)
+
+
 def test_vm_delta_zero_power():
-    assert vm_delta_temperature(0.0, 40.0, params()) == 0.0
+    assert vm_delta_temperature(0.0, params()) == 0.0
 
 
 def test_vm_delta_steady_state_is_power_times_resistance():
     tp = params(c_jk=600.0)
-    delta = vm_delta_temperature(8.0, 40.0, tp, "time-dependent", dt_s=1e9)
+    delta = vm_delta_temperature(8.0, tp, "time-dependent", dt_s=1e9)
     assert delta == pytest.approx(8.0 * 0.5)
 
 
 def test_vm_delta_additive_in_power():
     for mode, dt in (("literal", None), ("time-dependent", 300.0)):
-        one = vm_delta_temperature(6.0, 30.0, params(), mode, dt)
-        two = vm_delta_temperature(12.0, 30.0, params(), mode, dt)
+        one = vm_delta_temperature(6.0, params(), mode, dt)
+        two = vm_delta_temperature(12.0, params(), mode, dt)
         assert two == pytest.approx(2 * one)
+
+
+def test_vm_delta_closed_form_matches_temperature_difference():
+    # The oracle subtracts two temperatures, so it carries rounding of the
+    # temperature's size; the closed form must agree up to that.
+    for c_jk, mode, dt, host_w, vm_w in itertools.product(
+            (2.0, 600.0, 5000.0), thermal.MODES, (1.0, 300.0, 1e6),
+            np.linspace(0.0, 200.0, 9).tolist(),
+            np.linspace(0.0, 100.0, 11).tolist()):
+        tp = params(c_jk=c_jk)
+        want = oracle_vm_delta_temperature(vm_w, host_w, tp, mode, dt)
+        got = vm_delta_temperature(vm_w, tp, mode, dt)
+        hot = cpu_temperature(host_w + vm_w, tp, mode, dt)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(hot))
+
+
+def test_vm_delta_domain_errors():
+    with pytest.raises(DomainError):
+        vm_delta_temperature(-1.0, params())
+    with pytest.raises(DomainError):
+        vm_delta_temperature(1.0, params(), "time-dependent")  # dt missing
+    with pytest.raises(DomainError):
+        vm_delta_temperature(1.0, params(), "sideways")
 
 
 def test_thresholds_reference_constants():
