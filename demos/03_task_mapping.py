@@ -18,7 +18,7 @@ for idx, (resource, reserved) in enumerate([(0.8, 400.0), (0.4, 200.0), (0.0, 0.
     fleet.append(vm)
 
 print("== VM order the mapper will scan (most utilized first) ==")
-for vm in utilization_sort(fleet, is_vm=True, decreasing=True):
+for vm in utilization_sort(fleet, is_vm=True):
     print(f"  {vm.id}: utilization {vm.util.resource:.0%}, "
           f"{vm.spec.mips - vm.reserved_mips:.0f} MIPS free")
 

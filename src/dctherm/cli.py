@@ -57,7 +57,7 @@ def build_parser():
     train.add_argument("--test-count", type=_number(int, 1), default=None,
                        help="held-out windows (default N//11 for synthetic)")
     train.add_argument("--epochs", type=_number(int, 0), default=300)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_number(int, 0), default=0)
     train.add_argument("--out", required=True, help="model file to write")
 
     pred = sub.add_parser("predict", help="score a model against telemetry")
@@ -68,7 +68,7 @@ def build_parser():
 
     gen = sub.add_parser("gen-workload", help="write a synthetic workload CSV")
     gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_number(int, 0), default=0)
     gen.add_argument("--out", required=True)
 
     rep = sub.add_parser("report", help="re-summarize a run directory")

@@ -1,20 +1,16 @@
 """Discrete-event simulation loop.
 
-Each step covers one interval and runs, in order: workload arrivals, task
--> VM mapping, VM placement by the active policy (with migration
-accounting), power computation and energy integration, host temperature
-update, and task progress / SLA checks. Before placement, a policy whose
-``scheduler.POLICIES`` entry says so evicts every VM of a host above its
-t_over_c. Every VM is in exactly one of ``state.waiting`` or one host's
-``placed_vms``, so a VM is placed exactly when it is not waiting.
+Each step covers one interval and runs, in order: workload arrivals, task ->
+VM mapping from the ``utilization.Backlog``, VM placement by the active
+policy (with migration accounting), power computation and energy integration,
+host temperature update, and task progress / SLA checks. Before placement, a
+policy whose ``scheduler.POLICIES`` entry says so evicts every VM of a host
+above its t_over_c. Every VM is in exactly one of ``state.waiting`` or one
+host's ``placed_vms``, so a VM is placed exactly when it is not waiting.
 
 A step does each task's and each host's work once, not once per step:
 
 - arrivals are drawn in one block (``traceio.generate_workloads``);
-- pending tasks form a ``Backlog`` kept in the mapper's walk order across
-  steps: a task is viewed and keyed once while the placed VMs' spec means
-  stay the same, new arrivals are inserted, not re-sorted with the rest,
-  and the first-fit walk stops once no VM could hold a later task;
 - the placed VMs and their spec means are recomputed only when the
   waiting list changes;
 - the power phase reuses a host's last power figures while its
@@ -30,7 +26,6 @@ loop; replicates use seeds derived from the base seed and are merged in
 index order, so results depend only on (config, seed).
 """
 
-import bisect
 import os
 from dataclasses import dataclass, field
 
@@ -41,6 +36,7 @@ from .errors import DomainError, IoError
 from .model import (HostState, UtilizationSnapshot, VmState, config_digest,
                     derive_lambda, validate_config)
 from .traceio import generate_workloads, load_planetlab_trace, poisson_arrivals
+from .utilization import Backlog, bandwidth_need
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
@@ -60,97 +56,6 @@ def check_sla(task, sla_slack):
         return True
     deadline = task.arrival_s + task.nominal_runtime_s * (1.0 + sla_slack)
     return task.finish_s > deadline
-
-
-class Backlog:
-    """Tasks waiting for a VM, kept in the mapper's walk order across steps.
-
-    A task is viewed (``utilization.task_views``) against the spec means of
-    the placed VMs when it is first mapped, and keeps its view and sort key
-    until those means (or the interval) change; then every held task is
-    viewed again. New
-    tasks wait in ``inbox`` until the next ``take``, which sorts them and
-    inserts each after every held task with an equal key. The order is
-    therefore the one a stable sort of the whole backlog, in arrival order,
-    would give, without sorting or viewing the held tasks again.
-    """
-
-    def __init__(self):
-        self.inbox = []    # (arrival number, task), not yet viewed
-        self.held = []     # (sort key, arrival number, task), ascending
-        self.views = []    # the held tasks' TaskViews, same order
-        self.basis = None  # (VM spec means, interval) of the held views
-        self.arrivals = 0
-
-    def __len__(self):
-        return len(self.held) + len(self.inbox)
-
-    def __iter__(self):
-        """Tasks in arrival order."""
-        return iter([task for _, task in self._in_arrival_order()])
-
-    def _in_arrival_order(self):
-        held = sorted(self.held, key=lambda entry: entry[1])
-        return [(number, task) for _, number, task in held] + self.inbox
-
-    def append(self, task):
-        self.inbox.append((self.arrivals, task))
-        self.arrivals += 1
-
-    def extend(self, tasks):
-        for task in tasks:
-            self.append(task)
-
-    def take(self, vms, means, interval_s):
-        """Map the backlog onto ``vms`` (whose spec means are ``means``) and
-        remove the tasks placed; returns (task, vm id) pairs in walk order."""
-        if (means, interval_s) != self.basis:
-            self.basis = (means, interval_s)
-            self.inbox = self._in_arrival_order()
-            self.held, self.views = [], []
-        if self.inbox:
-            self._insert_inbox(vms, means, interval_s)
-        hits = utilization.map_workloads(self.views, vms,
-                                         mean_mips=means[0]).hits
-        placed = [(self.held[i][2], vm_id) for i, vm_id in hits]
-        if len(hits) == len(self.held):
-            self.held, self.views = [], []
-        else:
-            for i, _ in reversed(hits):
-                del self.held[i], self.views[i]
-        return placed
-
-    def _insert_inbox(self, vms, means, interval_s):
-        views = utilization.task_views([task for _, task in self.inbox], vms,
-                                       interval_s, means=means)
-        arrival = {id(view): item for view, item in zip(views, self.inbox)}
-        views = utilization.utilization_sort(views)
-        key = utilization.sort_key()
-        entries = [(key(view), *arrival[id(view)]) for view in views]
-        self.inbox = []
-        if not self.held:
-            self.held, self.views = entries, views
-            return
-        # New entries ascend and carry later arrival numbers than any held
-        # task, so each goes after every held task with an equal key.
-        points, lo = [], 0
-        for entry in entries:
-            lo = bisect.bisect_right(self.held, entry, lo)
-            points.append(lo)
-        self.held = _spliced(self.held, points, entries)
-        self.views = _spliced(self.views, points, views)
-
-
-def _spliced(old, points, items):
-    """``old`` with each of ``items`` put before ``old[points[i]]``;
-    ``points`` ascend. One copy of ``old``, not one per item."""
-    out, prev = [], 0
-    for at, item in zip(points, items):
-        out += old[prev:at]
-        out.append(item)
-        prev = at
-    out += old[prev:]
-    return out
 
 
 @dataclass
@@ -239,16 +144,16 @@ def _refresh_vm_views(state):
     current reservations; the mapper sorts on both. Delta-T is left to
     _predict_delta_t, which runs only for the VMs awaiting placement."""
     state.fallback_host = min(state.hosts, key=lambda h: (h.cpu_util, h.id))
-    step_index = state.clock_s // state.cfg.interval_s
     for vm_id, vm in state.vms.items():
         spec = vm.spec
         # A zero reservation reads exactly 0.0, so idle VMs (most of them on
         # most steps) skip the divisions.
         trace = state.traces.get(vm_id)
         if trace is not None:
-            # Trace-driven load: the replayed CPU percent, cycling the trace
-            # past its end, stands in for the reservation-derived demand.
-            resource = trace.samples[step_index % len(trace.samples)] / 100.0
+            # Trace-driven load: the replayed CPU percent at the clock,
+            # cycling the trace past its end, stands in for the demand.
+            resource = trace.samples[state.clock_s // trace.spacing_s
+                                     % len(trace.samples)] / 100.0
         elif vm.reserved_mips:
             resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
         else:
@@ -344,7 +249,7 @@ def step(state):
             task.start_s = clock
             vm.reserved_mips += task.mips_requested
             vm.reserved_ram_mb += task.ram_mb
-            vm.reserved_bw_bps += 8e6 * task.file_size_mb / interval
+            vm.reserved_bw_bps += bandwidth_need(task, interval)
             state.running_tasks.append(task)
 
     # 3. VM placement by the active policy
@@ -412,7 +317,7 @@ def step(state):
             task.remaining_mi = 0.0
             vm.reserved_mips -= task.mips_requested
             vm.reserved_ram_mb -= task.ram_mb
-            vm.reserved_bw_bps -= 8e6 * task.file_size_mb / interval
+            vm.reserved_bw_bps -= bandwidth_need(task, interval)
             state.completed_tasks.append(task)
             if check_sla(task, cfg.sla_slack):
                 state.sla_violations += 1

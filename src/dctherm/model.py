@@ -256,8 +256,8 @@ def validate_config(cfg):
         raise InvalidConfig("horizon_s", "must be a positive integer")
     if cfg.horizon_s % cfg.interval_s != 0:
         raise InvalidConfig("horizon_s", "must be a multiple of interval_s")
-    if not -(2 ** 63) <= cfg.seed < 2 ** 64:
-        raise InvalidConfig("seed", "must fit in 64 bits")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise InvalidConfig("seed", "must be in [0, 2**64)")
     if cfg.thermal_mode not in MODES:
         raise InvalidConfig("thermal_mode", f"must be one of {MODES}")
     if cfg.policy not in registered_policies():

@@ -1,4 +1,4 @@
-"""The utilization-driven task->VM mapping.
+"""The utilization-driven task->VM mapping and the backlog it walks.
 
 The mapper sorts on utilization snapshots: each VM's reservation percents
 (the engine's refresh writes them) and each task's demand estimated
@@ -6,11 +6,12 @@ against the VMs' spec means (``task_views``). Resource utilization is a
 fraction, the other three fields percents. The mapper is the greedy
 two-sort algorithm: tasks ascending by estimated demand, VMs descending by
 utilization (energy first), each task to the first VM that still fits it.
-``sort_key`` is the one ordering and ``map_workloads`` the one walk; the
-engine's backlog keeps its tasks in that order and passes them in already
-sorted.
+``sort_key`` is the one ordering and ``map_workloads`` the one walk;
+``Backlog`` keeps the engine's pending tasks in that order across steps
+and passes them in already sorted.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -37,28 +38,26 @@ class Assignment:
         return [t.id for i, t in enumerate(self.ordered) if i not in placed]
 
 
-def sort_key(is_vm=False, decreasing=False):
+def sort_key(is_vm=False):
     """The mapper's ordering as a key function.
 
     The key is the utilization chain: resource utilization with memory,
-    disk, network breaking ties, all in the direction of ``decreasing``.
-    VMs break remaining ties by energy draw ascending, which orders them as
-    a stable energy sort followed by a stable chain sort would. Items need
-    a ``.util`` snapshot, VMs also ``.e_total_w``.
+    disk, network breaking ties, ascending for tasks and descending for
+    VMs. VMs break remaining ties by energy draw ascending, which orders
+    them as a stable energy sort followed by a stable chain sort would.
+    Items need a ``.util`` snapshot, VMs also ``.e_total_w``.
     """
-    sign = -1.0 if decreasing else 1.0
     if is_vm:
-        return lambda v: (sign * v.util.resource, sign * v.util.memory_pct,
-                          sign * v.util.disk_pct, sign * v.util.network_pct,
-                          v.e_total_w)
-    return lambda t: (sign * t.util.resource, sign * t.util.memory_pct,
-                      sign * t.util.disk_pct, sign * t.util.network_pct)
+        return lambda v: (-v.util.resource, -v.util.memory_pct,
+                          -v.util.disk_pct, -v.util.network_pct, v.e_total_w)
+    return lambda t: (t.util.resource, t.util.memory_pct, t.util.disk_pct,
+                      t.util.network_pct)
 
 
-def utilization_sort(items, is_vm=False, decreasing=False):
+def utilization_sort(items, is_vm=False):
     """Order VMs or tasks for the mapper by ``sort_key``; equal keys keep
     their input order."""
-    return sorted(items, key=sort_key(is_vm, decreasing))
+    return sorted(items, key=sort_key(is_vm))
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,11 @@ def vm_means(vms):
             sum(vm.spec.bandwidth_bps for vm in vms) / n)
 
 
+def bandwidth_need(task, interval_s):
+    """Bit/s a task reserves: its input file moved within one interval."""
+    return 8e6 * task.file_size_mb / interval_s
+
+
 def task_views(workloads, vms, interval_s=300, means=None):
     """Estimate each task's utilization demand against the VM fleet.
 
@@ -95,7 +99,7 @@ def task_views(workloads, vms, interval_s=300, means=None):
     mean_mips, mean_ram, mean_bw = vm_means(vms) if means is None else means
     views = []
     for w in workloads:
-        bw_need = 8e6 * w.file_size_mb / interval_s
+        bw_need = bandwidth_need(w, interval_s)
         util = UtilizationSnapshot(
             resource=min(1.0, w.mips_requested / mean_mips),
             memory_pct=min(100.0, 100.0 * w.ram_mb / mean_ram),
@@ -129,9 +133,9 @@ def map_workloads(tasks, vms, mean_mips=None):
     slots = [(vm.id, [vm.spec.mips - vm.reserved_mips,
                       vm.spec.ram_mb - vm.reserved_ram_mb,
                       vm.spec.bandwidth_bps - vm.reserved_bw_bps])
-             for vm in utilization_sort(vms, is_vm=True, decreasing=True)]
+             for vm in utilization_sort(vms, is_vm=True)]
     if mean_mips is None:
-        tasks = utilization_sort(tasks, is_vm=False, decreasing=False)
+        tasks = utilization_sort(tasks)
     result = Assignment(tasks)
     if not slots:
         return result
@@ -163,3 +167,81 @@ def map_workloads(tasks, vms, mean_mips=None):
                 if mean_mips is not None:
                     limit = most_mips / mean_mips
     return result
+
+
+class Backlog:
+    """Tasks waiting for a VM, kept in the mapper's walk order across steps.
+
+    A task is viewed (``task_views``) against the spec means of the placed
+    VMs when it is first mapped, and keeps its view and sort key until
+    those means (or the interval) change; then every held task is viewed
+    again. New tasks wait in ``inbox`` until the next ``take``, which sorts
+    them and inserts each after every held task with an equal key: the
+    order a stable sort of the whole backlog, in arrival order, would give,
+    without sorting or viewing the held tasks again.
+    """
+
+    def __init__(self):
+        self.inbox = []    # (arrival number, task), not yet viewed
+        self.held = []     # (*sort key, arrival number, task), ascending
+        self.views = []    # the held tasks' TaskViews, same order
+        self.basis = None  # (VM spec means, interval) of the held views
+        self.arrivals = 0
+
+    def __len__(self):
+        return len(self.held) + len(self.inbox)
+
+    def __iter__(self):
+        """Tasks in arrival order."""
+        return iter([task for _, task in self._in_arrival_order()])
+
+    def _in_arrival_order(self):
+        held = sorted(entry[-2:] for entry in self.held)
+        return held + self.inbox
+
+    def extend(self, tasks):
+        self.inbox += enumerate(tasks, self.arrivals)
+        self.arrivals += len(tasks)
+
+    def take(self, vms, means, interval_s):
+        """Map the backlog onto ``vms`` (whose spec means are ``means``) and
+        remove the tasks placed; returns (task, vm id) pairs in walk order."""
+        if (means, interval_s) != self.basis:
+            self.basis = (means, interval_s)
+            self.inbox = self._in_arrival_order()
+            self.held, self.views = [], []
+        if self.inbox:
+            self._insert_inbox(vms, means, interval_s)
+        hits = map_workloads(self.views, vms, mean_mips=means[0]).hits
+        placed = [(self.held[i][-1], vm_id) for i, vm_id in hits]
+        for i, _ in reversed(hits):
+            del self.held[i], self.views[i]
+        return placed
+
+    def _insert_inbox(self, vms, means, interval_s):
+        views = task_views([task for _, task in self.inbox], vms, interval_s,
+                           means=means)
+        key = sort_key()
+        # Flat tuples sort faster than nested ones. Arrival numbers are unique
+        # and new ones exceed every held one: each new entry follows its ties.
+        entries = sorted((*key(view), number, task, view)
+                         for (number, task), view in zip(self.inbox, views))
+        self.inbox = []
+        points, lo = [], 0
+        for entry in entries:
+            lo = bisect.bisect_right(self.held, entry, lo)
+            points.append(lo)
+        self.held = _spliced(self.held, points, [e[:-1] for e in entries])
+        self.views = _spliced(self.views, points, [e[-1] for e in entries])
+
+
+def _spliced(old, points, items):
+    """``old`` with each of ``items`` put before ``old[points[i]]``;
+    ``points`` ascend. One copy of ``old``, not one per item."""
+    out, prev = [], 0
+    for at, item in zip(points, items):
+        out += old[prev:at]
+        out.append(item)
+        prev = at
+    out += old[prev:]
+    return out

@@ -221,3 +221,25 @@ def test_out_of_range_numeric_flag_exit_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --config {config} --seed -1",
+    "simulate --config {negative_seed_config}",
+    "train-predictor --synthetic 12 --seed -1 --out {out}",
+    "gen-workload --count 3 --seed -1 --out {out}",
+], ids=["simulate-flag", "simulate-config", "train-predictor", "gen-workload"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    # Each once died in numpy's default_rng with a traceback (exit 1).
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"hosts": [{"id": "pm-0"}], "seed": -1}))
+    out = tmp_path / "out"
+    argv = command.format(config=write_config(tmp_path),
+                          negative_seed_config=negative, out=out).split()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

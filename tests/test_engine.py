@@ -93,9 +93,9 @@ def test_idle_step_energy_is_idle_draw():
 def test_task_completes_after_exact_intervals():
     cfg = small_config()
     state = SimulationState(cfg=cfg, seed=1)
-    state.pending_tasks.append(Workload(id="t", length_mi=300000.0,
-                                        mips_requested=500.0, ram_mb=64.0,
-                                        arrival_s=0))
+    state.pending_tasks.extend([Workload(id="t", length_mi=300000.0,
+                                         mips_requested=500.0, ram_mb=64.0,
+                                         arrival_s=0)])
     state.tasks_generated = 1
     step(state)
     assert not state.completed_tasks and len(state.running_tasks) == 1
@@ -129,7 +129,7 @@ def test_evicted_vm_task_stalls_during_migration():
     state = SimulationState(cfg=cfg, seed=1)
     task = Workload(id="t", length_mi=150000.0, mips_requested=500.0,
                     ram_mb=64.0, arrival_s=0)
-    state.pending_tasks.append(task)
+    state.pending_tasks.extend([task])
     state.tasks_generated = 1
     state.hosts[0].current_temp_c = 85.0
     step(state)
@@ -260,6 +260,21 @@ def test_trace_driven_utilization(tmp_path):
     assert report.total_energy_kwh > idle.total_energy_kwh
     # replay is part of the determinism contract
     assert run_once(cfg).per_step_rows == report.per_step_rows
+
+
+def test_trace_replay_follows_the_sample_spacing(tmp_path):
+    # Samples are 300 s apart, so a 600 s step advances two of them. The
+    # replay once read one sample per step, whatever the interval.
+    (tmp_path / "vm.trace").write_text("\n".join(str(10 * i)
+                                                 for i in range(10)))
+    cfg = small_config(interval_s=600, horizon_s=6000,
+                       trace_dir=str(tmp_path))
+    state = SimulationState(cfg=cfg, seed=cfg.seed)
+    seen = []
+    for _ in range(6):
+        step(state)
+        seen.append(state.vms["vm-0"].util.resource)
+    assert seen == [0.0, 0.2, 0.4, 0.6, 0.8, 0.0]
 
 
 def test_unplaced_vms_get_allocated_by_policy():
@@ -493,7 +508,7 @@ def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
                             mips_requested=100.0,
                             ram_mb=float(rng.integers(8, 13) * 128))
             arrived += 1
-            backlog.append(task)
+            backlog.extend([task])
             pending.append(task)
         want, _ = oracle_map(utilization.task_views(pending, vms), vms)
         got = backlog.take(vms, utilization.vm_means(vms), 300)

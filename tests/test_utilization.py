@@ -25,14 +25,14 @@ def test_sort_empty():
 
 def test_sort_tasks_ascending():
     items = [make_vm(i, resource=r) for i, r in enumerate([0.3, 0.1, 0.2])]
-    ordered = utilization_sort(items, is_vm=False, decreasing=False)
+    ordered = utilization_sort(items, is_vm=False)
     assert [it.util.resource for it in ordered] == [0.1, 0.2, 0.3]
 
 
 def test_sort_vm_memory_tiebreak_decreasing():
     a = make_vm(0, resource=0.5, mem=80.0, e_total=10.0)
     b = make_vm(1, resource=0.5, mem=40.0, e_total=10.0)
-    ordered = utilization_sort([b, a], is_vm=True, decreasing=True)
+    ordered = utilization_sort([b, a], is_vm=True)
     assert [vm.id for vm in ordered] == ["vm-0", "vm-1"]
 
 
@@ -40,7 +40,7 @@ def test_sort_vm_energy_primary():
     # equal utilization chain: energy ascending decides
     low = make_vm(0, resource=0.5, e_total=5.0)
     high = make_vm(1, resource=0.5, e_total=50.0)
-    ordered = utilization_sort([high, low], is_vm=True, decreasing=True)
+    ordered = utilization_sort([high, low], is_vm=True)
     assert [vm.id for vm in ordered] == ["vm-0", "vm-1"]
 
 
@@ -53,10 +53,9 @@ def test_sort_permutation_and_idempotent():
                      e_total=float(rng.choice([3.0, 7.0])))
              for i in range(40)]
     for is_vm in (False, True):
-        for decreasing in (False, True):
-            once = utilization_sort(items, is_vm, decreasing)
-            assert sorted(v.id for v in once) == sorted(v.id for v in items)
-            assert utilization_sort(once, is_vm, decreasing) == once
+        once = utilization_sort(items, is_vm)
+        assert sorted(v.id for v in once) == sorted(v.id for v in items)
+        assert utilization_sort(once, is_vm) == once
 
 
 # --- mapping ---------------------------------------------------------------
@@ -145,10 +144,10 @@ def test_oracle_sort_agrees_with_library_sort():
                          net=float(rng.choice([1.0, 9.0])),
                          e_total=float(rng.choice([3.0, 7.0])))
                  for i in range(int(rng.integers(0, 8)))]
+        # Tasks ascend, VMs descend: the oracle's direction is is_vm.
         for is_vm in (False, True):
-            for decreasing in (False, True):
-                assert utilization_sort(items, is_vm, decreasing) \
-                    == oracle_sort(items, is_vm, decreasing)
+            assert utilization_sort(items, is_vm) \
+                == oracle_sort(items, is_vm, decreasing=is_vm)
 
 
 def test_oracle_equivalence_200_cases():

@@ -1,0 +1,120 @@
+"""Differential sweep: run the same simulations on two checkouts and compare.
+
+    python tools/diffsweep.py PARENT_ROOT CHANGE_ROOT [--configs 60]
+                              [--seeds 1 2 3]
+
+Each side runs in its own process with ``PYTHONPATH=<root>/src``, so it
+imports that checkout's ``dctherm``. Both sides build their configs with
+the generators of the checkout holding this script, loaded by file path:
+``tests/test_engine.py::random_config`` (``--configs`` configs x 4 policies
+x 2 thermal modes, 30 steps each) and ``perfbench/workloads.py``'s fleet,
+overload and churn configs at each of ``--seeds``. Every run is reduced to
+the sha256 of its (events, per-step rows, summary row), as in
+``tests/test_golden.py``. The script prints the number of runs, of runs
+with an overheat eviction, of runs with a migration and of mismatches, and
+exits 1 on any mismatch.
+"""
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+POLICIES = ("fcfs", "utilization", "thermal", "thermal+utilization")
+SIMULATIONS = ("fleet", "overload", "churn")
+# The random configs' generator seed, as in the engine's invariant test.
+CONFIG_SEED = 2026
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(configs, seeds):
+    """(name, config) per run, built with this checkout's generators."""
+    import numpy as np
+
+    from dctherm import model, thermal
+
+    test_engine = _load(ROOT / "tests" / "test_engine.py", "test_engine")
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "workloads")
+    rng = np.random.default_rng(CONFIG_SEED)
+    for index in range(configs):
+        base = test_engine.random_config(rng)
+        for policy in POLICIES:
+            for mode in thermal.MODES:
+                yield (f"random-{index}/{policy}/{mode}",
+                       model.validate_config(dataclasses.replace(
+                           base, policy=policy, thermal_mode=mode)))
+    for name in SIMULATIONS:
+        for seed in seeds:
+            yield (f"{name}/seed-{seed}", model.config_from_dict(
+                workloads.simulation_config(name, seed)))
+
+
+def run_side(configs, seeds):
+    """Print one JSON line per run: [name, digest, evicted, migrated]."""
+    sys.path.insert(0, str(ROOT / "tests"))   # test_engine imports siblings
+    from dctherm import engine
+    from test_golden import report_digest
+
+    src = pathlib.Path(os.environ["PYTHONPATH"]).resolve()
+    if src not in pathlib.Path(engine.__file__).resolve().parents:
+        sys.exit(f"dctherm was imported from {engine.__file__}, not {src}")
+
+    for name, cfg in _runs(configs, seeds):
+        report = engine.run_once(cfg)
+        evicted = any(kind == "overheat-evict" for _, kind, _ in report.events)
+        print(json.dumps([name, report_digest(report), evicted,
+                          report.migrations > 0]))
+
+
+def side_results(root, configs, seeds):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root).resolve() / "src"))
+    command = [sys.executable, __file__, "--side", "--configs", str(configs),
+               "--seeds", *map(str, seeds)]
+    out = subprocess.run(command, env=env, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    return {name: rest for name, *rest in map(json.loads, out.splitlines())}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("roots", nargs="*", metavar="ROOT",
+                        help="the two checkouts to compare")
+    parser.add_argument("--configs", type=int, default=60,
+                        help="random configs, each run 8 ways")
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
+                        help="seeds of the perfbench simulation configs")
+    parser.add_argument("--side", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side:
+        run_side(args.configs, args.seeds)
+        return 0
+    if len(args.roots) != 2:
+        parser.error("give two checkout roots")
+    before, after = (side_results(root, args.configs, args.seeds)
+                     for root in args.roots)
+    mismatches = sorted(name for name in before.keys() | after.keys()
+                        if before.get(name, [None])[0]
+                        != after.get(name, [None])[0])
+    for name in mismatches:
+        print(f"mismatch: {name}")
+    print(f"runs={len(after)} "
+          f"with_evictions={sum(e for _, e, _ in after.values())} "
+          f"with_migrations={sum(m for _, _, m in after.values())} "
+          f"mismatches={len(mismatches)}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
