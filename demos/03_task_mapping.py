@@ -6,7 +6,8 @@ residual capacity covers it.
 """
 
 from dctherm.model import UtilizationSnapshot, VmSpec, VmState, Workload
-from dctherm.utilization import map_workloads, task_views, utilization_sort
+from dctherm.utilization import (map_workloads, task_views, utilization_sort,
+                                 vm_means)
 
 # a little fleet: one loaded VM, one midway, one idle
 fleet = []
@@ -30,8 +31,9 @@ tasks = [
     Workload(id="huge", length_mi=480000, mips_requested=900.0, ram_mb=512),
 ]
 
-views = task_views(tasks, fleet)
-result = map_workloads(views, fleet)
+means = vm_means(fleet)
+views = utilization_sort(task_views(tasks, means))
+result = map_workloads(views, fleet, means[0])
 
 print("\n== assignments (light tasks pack the busy VM first) ==")
 for task_id, vm_id in result.assigned:

@@ -7,7 +7,7 @@ threshold pulls cold VMs, one under the low threshold pulls hot VMs.
 
 from dctherm.model import HostSpec, HostState, VmSpec, VmState
 from dctherm.scheduler import Snapshot, classify_and_enqueue, schedule_round
-from dctherm.thermal import VmThresholds
+from dctherm.thermal import ThermalClass, VmThresholds
 
 th = VmThresholds(theta_low_c=1.0, theta_high_c=5.0)
 
@@ -25,9 +25,9 @@ for idx, delta in enumerate([0.3, 0.5, 2.5, 3.0, 7.0, 9.5]):
 
 qs = classify_and_enqueue(vms, th)
 print("== queues after classification ==")
-print(f"  hot : {list(qs.q_hot)}")
-print(f"  warm: {list(qs.q_warm)}")
-print(f"  cold: {list(qs.q_cold)}")
+print(f"  hot : {list(qs[ThermalClass.HOT])}")
+print(f"  warm: {list(qs[ThermalClass.WARM])}")
+print(f"  cold: {list(qs[ThermalClass.COLD])}")
 
 snapshot = Snapshot(hosts=hosts, vms={vm.id: vm for vm in vms},
                     waiting=[vm.id for vm in vms], thresholds=th)

@@ -26,9 +26,8 @@ from .predictor import (FanModel, TelemetryRecord, TrainReport,
                         prediction_accuracy, sample_fan_speeds, save_model,
                         sliding_windows, synthesize_telemetry,
                         train_predictor)
-from .scheduler import (PlacementAction, QueueSet, Snapshot,
-                        classify_and_enqueue, registered_policies, run_policy,
-                        schedule_round)
+from .scheduler import (PlacementAction, Snapshot, classify_and_enqueue,
+                        registered_policies, run_policy, schedule_round)
 from .thermal import (ThermalClass, ThermalParams, VmThresholds, classify_vm,
                       cpu_temperature, vm_delta_temperature, vm_thresholds)
 from .traceio import (UtilizationTrace, generate_workloads,

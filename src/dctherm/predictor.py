@@ -267,6 +267,9 @@ def predict_records(model, records, window=8):
 
     Returns (predictions, actuals) arrays aligned on windows.
     """
+    if model.layers[0].input_size != N_FEATURES:
+        raise ParseError(f"model takes {model.layers[0].input_size} features, "
+                         f"telemetry has {N_FEATURES}")
     sequences = sliding_windows(records, window)
     if not sequences:
         raise EmptyDataset(f"need at least {window} records per server")
@@ -293,8 +296,8 @@ def save_model(model, path):
 
 def load_model(path):
     """Read a file written by save_model. Raises ParseError if the file is
-    not one: bad magic or version, fewer bytes than its dimension table
-    calls for, or bytes left after b_out."""
+    not one: bad magic or version, no layers, or a length other than its
+    dimension table calls for (checked before any array is allocated)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(MODEL_MAGIC)] != MODEL_MAGIC:
@@ -317,8 +320,20 @@ def load_model(path):
     version, n_layers = struct.unpack("<II", take(8))
     if version != MODEL_VERSION:
         raise ParseError(f"unsupported model version {version}")
+    if n_layers == 0:
+        raise ParseError("model file has no layers")
     dims = struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1)))
     n_features = dims[0]
+    # Norm (2 * n_features + 2), per layer w, u and b (3 * h * (in + h + 1)),
+    # w_out and b_out: all float64.
+    size = 8 * (2 * n_features + 2 + dims[-1] + 1 + sum(
+        3 * h * (d_in + h + 1) for d_in, h in zip(dims, dims[1:])))
+    left = len(blob) - pos
+    if size > left:
+        raise ParseError(f"model file truncated: {size} bytes needed at "
+                         f"offset {pos}, {left} left")
+    if size < left:
+        raise ParseError(f"{left - size} trailing bytes after the model")
     fmin = read_array((n_features,))
     fmax = read_array((n_features,))
     tmin, tmax = struct.unpack("<dd", take(16))
@@ -329,6 +344,4 @@ def load_model(path):
             model.b_out = float(read_array((1,))[0])
         else:
             param[...] = read_array(param.shape)
-    if pos != len(blob):
-        raise ParseError(f"{len(blob) - pos} trailing bytes after the model")
     return model

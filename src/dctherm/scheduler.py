@@ -1,13 +1,13 @@
 """Queue-based thermal-aware VM placement and the table of placement policies.
 
-The thermal scheduler keeps three FIFO class queues (hot / warm / cold by
-predicted temperature change) and walks hosts from the largest thermal
-headroom down. A host hotter than theta_ch pulls from the cold queue, one
-colder than theta_cl pulls from the hot queue, and a mid-band host pulls
-warm first; the fallback chain only advances past *empty* queues (the
-branch structure of the selection rules). Within the chosen queue
-the first VM (FIFO) that fits the host's residual capacity is taken; if
-none fits, the host receives nothing that pass.
+The thermal scheduler keeps three FIFO class queues (a dict of deques,
+hot / warm / cold by predicted temperature change) and walks hosts from
+the largest thermal headroom down. A host hotter than theta_ch pulls from
+the cold queue, one colder than theta_cl pulls from the hot queue, and a
+mid-band host pulls warm first; the fallback chain only advances past
+*empty* queues (the branch structure of the selection rules). Within the
+chosen queue the first VM (FIFO) that fits the host's residual capacity is
+taken; if none fits, the host receives nothing that pass.
 
 ``POLICIES`` maps each policy name to its schedule function
 (``schedule(snapshot) -> actions``) and to whether the engine evicts the
@@ -17,29 +17,11 @@ policies are "fcfs" and "utilization" (first-fit, no eviction) and
 """
 
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidConfig, UnknownPolicy
 from .thermal import ThermalClass, classify_vm
-
-
-@dataclass
-class QueueSet:
-    """The three class queues, all FIFO."""
-
-    q_hot: deque = field(default_factory=deque)
-    q_warm: deque = field(default_factory=deque)
-    q_cold: deque = field(default_factory=deque)
-
-    def queue(self, thermal_class):
-        return {ThermalClass.HOT: self.q_hot,
-                ThermalClass.WARM: self.q_warm,
-                ThermalClass.COLD: self.q_cold}[thermal_class]
-
-    @property
-    def classified_empty(self):
-        return not (self.q_hot or self.q_warm or self.q_cold)
 
 
 @dataclass(frozen=True)
@@ -73,17 +55,19 @@ class Snapshot:
 
 
 def classify_and_enqueue(vms, th):
-    """Distribute VMs over the three class queues, preserving FIFO order.
+    """Distribute VMs over the three class queues, preserving FIFO order:
+    a ``{ThermalClass: deque of vm ids}`` dict, hot, warm and cold.
 
     Every VM must carry a predicted temperature change (delta_t_c); the
     engine fills it for each VM awaiting placement.
     """
-    qs = QueueSet()
+    qs = {ThermalClass.HOT: deque(), ThermalClass.WARM: deque(),
+          ThermalClass.COLD: deque()}
     for vm in vms:
         if vm.delta_t_c is None:
             raise InvalidConfig("delta_t_c", f"vm {vm.id} has no predicted delta-T")
         vm.thermal_class = classify_vm(vm.delta_t_c, th)
-        qs.queue(vm.thermal_class).append(vm.id)
+        qs[vm.thermal_class].append(vm.id)
     return qs
 
 
@@ -121,7 +105,8 @@ def _place(vm, host_id, residual):
 
 
 def schedule_round(snapshot, qs, tie_break="id"):
-    """One placement round over the classified queues.
+    """One placement round over the classified queues ``qs`` (as
+    ``classify_and_enqueue`` returns them); placed VMs leave their queue.
 
     Hosts are visited from the largest headroom (T_over - temperature)
     down; each host takes at most one VM per pass and a VM's predicted
@@ -141,12 +126,12 @@ def schedule_round(snapshot, qs, tie_break="id"):
         return (-headroom, host.id)
 
     actions = []
-    while not qs.classified_empty:
+    while any(qs.values()):
         placed_this_pass = False
         for host in sorted(snapshot.hosts, key=host_key):
             for thermal_class in queue_preference(eff_temp[host.id],
                                                   host.spec.thermal):
-                q = qs.queue(thermal_class)
+                q = qs[thermal_class]
                 if not q:
                     continue
                 chosen = None
@@ -157,11 +142,11 @@ def schedule_round(snapshot, qs, tie_break="id"):
                         break
                 if chosen is not None:
                     q.remove(chosen.id)
-                    eff_temp[host.id] += chosen.delta_t_c or 0.0
+                    eff_temp[host.id] += chosen.delta_t_c
                     actions.append(_place(chosen, host.id, residual[host.id]))
                     placed_this_pass = True
                 break  # only the first non-empty queue is considered
-            if qs.classified_empty:
+            if not any(qs.values()):
                 break
         if not placed_this_pass:
             break

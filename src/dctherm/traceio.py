@@ -6,6 +6,7 @@ endings and UTF-8 so equal runs produce byte-identical files.
 """
 
 import csv
+import io
 import json
 import logging
 import math
@@ -44,16 +45,24 @@ def sample_telemetry_path():
     return os.path.join(os.path.dirname(__file__), "data", "sample_telemetry.csv")
 
 
+def _read_text(path, what):
+    """The whole of a UTF-8 text file, line endings untranslated. Raises
+    IoError if the file cannot be read and ParseError if it is not UTF-8;
+    ``what`` names the file's role in the message."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
 def load_planetlab_trace(path):
     """Read an integer-per-line CPU utilization trace (percent, 300 s
     spacing). Out-of-range values are clamped with a warning."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read trace {path}: {exc}") from exc
     samples = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(_read_text(path, "trace").splitlines(), start=1):
         text = line.strip()
         if not text:
             continue
@@ -88,45 +97,40 @@ def _timestamp_key(text):
 def load_telemetry_csv(path):
     """Read a telemetry CSV with the exact documented header; returns its
     TelemetryRecords in file order, time-ordered within each server."""
+    reader = csv.reader(io.StringIO(_read_text(path, "telemetry"), newline=""))
     try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read telemetry {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("telemetry file is empty") from None
+    if tuple(h.strip() for h in header) != CSV_COLUMNS:
+        raise SchemaError(
+            f"header {header} does not match {list(CSV_COLUMNS)}")
+    records = []
+    last_ts = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ParseError(f"expected {len(CSV_COLUMNS)} fields, "
+                             f"got {len(row)}", line_no=row_no)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("telemetry file is empty") from None
-        if tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise SchemaError(
-                f"header {header} does not match {list(CSV_COLUMNS)}")
-        records = []
-        last_ts = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise ParseError(f"expected {len(CSV_COLUMNS)} fields, "
-                                 f"got {len(row)}", line_no=row_no)
-            try:
-                fans = tuple(float(v) for v in row[2:7])
-                record = TelemetryRecord(
-                    server_id=row[0], timestamp=row[1], fan_rpm=fans,
-                    system_pct=float(row[7]), memory_pct=float(row[8]),
-                    cpu_pct=float(row[9]), io_pct=float(row[10]),
-                    cpu_temp_c=float(row[11]))
-            except (ValueError, ParseError) as exc:
-                raise ParseError(str(exc), line_no=row_no) from None
-            key = _timestamp_key(record.timestamp)
-            prev = last_ts.get(record.server_id)
-            if key is not None and prev is not None and key <= prev:
-                raise ParseError(
-                    f"timestamps for {record.server_id} not increasing",
-                    line_no=row_no)
-            if key is not None:
-                last_ts[record.server_id] = key
-            records.append(record)
+            fans = tuple(float(v) for v in row[2:7])
+            record = TelemetryRecord(
+                server_id=row[0], timestamp=row[1], fan_rpm=fans,
+                system_pct=float(row[7]), memory_pct=float(row[8]),
+                cpu_pct=float(row[9]), io_pct=float(row[10]),
+                cpu_temp_c=float(row[11]))
+        except (ValueError, ParseError) as exc:
+            raise ParseError(str(exc), line_no=row_no) from None
+        key = _timestamp_key(record.timestamp)
+        prev = last_ts.get(record.server_id)
+        if key is not None and prev is not None and key <= prev:
+            raise ParseError(
+                f"timestamps for {record.server_id} not increasing",
+                line_no=row_no)
+        if key is not None:
+            last_ts[record.server_id] = key
+        records.append(record)
     return tuple(records)
 
 
@@ -266,16 +270,17 @@ def write_report(report, out_dir):
 
 def read_summary_csv(path):
     """Summary rows back as {label: {field: float}} mappings."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read summary {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        out = {}
-        for row in reader:
-            label = row.pop("label")
+    reader = csv.DictReader(io.StringIO(_read_text(path, "summary"),
+                                        newline=""))
+    out = {}
+    for row in reader:
+        label = row.pop("label", None)
+        try:
+            # A short row holds None, a long one a list under key None.
             out[label] = {k: float(v) for k, v in row.items()}
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"summary field not a number: {exc}",
+                             line_no=reader.line_num) from None
     return out
 
 
@@ -284,34 +289,30 @@ def summarize_per_step(path):
 
     SVR is not among them: the file's svr_cum counts finished tasks only,
     while the run's SVR (summary.csv) also counts unfinished ones."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read per-step file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != PER_STEP_HEADER:
-            raise SchemaError(f"header {list(header)} does not match "
-                              f"{list(PER_STEP_HEADER)}")
-        temps = {}
-        energy_j = 0.0
-        migrations = 0
-        steps = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PER_STEP_HEADER):
-                raise ParseError(f"expected {len(PER_STEP_HEADER)} fields, "
-                                 f"got {len(row)}", line_no=row_no)
-            try:
-                step = int(row[0])
-                temps.setdefault(row[2], []).append(float(row[3]))
-                energy_j = float(row[5])
-                migrations = int(row[6])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no=row_no) from None
-            steps = max(steps, step)
+    reader = csv.reader(io.StringIO(_read_text(path, "per-step file"),
+                                    newline=""))
+    header = tuple(next(reader, ()))
+    if header != PER_STEP_HEADER:
+        raise SchemaError(f"header {list(header)} does not match "
+                          f"{list(PER_STEP_HEADER)}")
+    temps = {}
+    energy_j = 0.0
+    migrations = 0
+    steps = 0
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(PER_STEP_HEADER):
+            raise ParseError(f"expected {len(PER_STEP_HEADER)} fields, "
+                             f"got {len(row)}", line_no=row_no)
+        try:
+            step = int(row[0])
+            temps.setdefault(row[2], []).append(float(row[3]))
+            energy_j = float(row[5])
+            migrations = int(row[6])
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no=row_no) from None
+        steps = max(steps, step)
     all_temps = [t for series in temps.values() for t in series]
     return {
         "steps": steps,

@@ -6,9 +6,9 @@ against the VMs' spec means (``task_views``). Resource utilization is a
 fraction, the other three fields percents. The mapper is the greedy
 two-sort algorithm: tasks ascending by estimated demand, VMs descending by
 utilization (energy first), each task to the first VM that still fits it.
-``sort_key`` is the one ordering and ``map_workloads`` the one walk;
-``Backlog`` keeps the engine's pending tasks in that order across steps
-and passes them in already sorted.
+``sort_key`` is the one ordering and ``map_workloads`` the one walk, over
+tasks already in that order: ``Backlog`` keeps the engine's pending tasks
+sorted, a standalone caller sorts ``task_views(tasks, vm_means(vms))``.
 """
 
 import bisect
@@ -87,16 +87,16 @@ def bandwidth_need(task, interval_s):
     return 8e6 * task.file_size_mb / interval_s
 
 
-def task_views(workloads, vms, interval_s=300, means=None):
-    """Estimate each task's utilization demand against the VM fleet.
+def task_views(workloads, means, interval_s=300):
+    """Estimate each task's utilization demand against the VM spec means.
 
-    Resource demand is mips_requested over the mean VM MIPS; memory, disk
-    and network percents are scaled the same way from the task's RAM, file
-    and transfer footprints. Values are clamped to their field ranges so
-    oversized tasks still sort (they just saturate the key). ``means`` is
-    ``vm_means(vms)``, for a caller that holds it already.
+    ``means`` is ``vm_means(vms)``. Resource demand is mips_requested over
+    the mean VM MIPS; memory, disk and network percents are scaled the same
+    way from the task's RAM, file and transfer footprints. Values are
+    clamped to their field ranges so oversized tasks still sort (they just
+    saturate the key).
     """
-    mean_mips, mean_ram, mean_bw = vm_means(vms) if means is None else means
+    mean_mips, mean_ram, mean_bw = means
     views = []
     for w in workloads:
         bw_need = bandwidth_need(w, interval_s)
@@ -111,37 +111,34 @@ def task_views(workloads, vms, interval_s=300, means=None):
     return views
 
 
-def map_workloads(tasks, vms, mean_mips=None):
+def map_workloads(tasks, vms, mean_mips):
     """Greedy mapping of TaskViews onto VMs.
 
-    Tasks are walked in ascending estimated-demand order, VMs in descending
-    utilization order; each task lands on the first VM whose residual MIPS,
-    RAM and bandwidth all cover it, and the residual is debited
-    immediately. Inputs are not mutated.
+    ``tasks`` must already be in walk order (ascending ``sort_key()``), and
+    ``mean_mips`` is the mean VM MIPS their views were estimated against.
+    VMs are walked in descending utilization order; each task lands on the
+    first VM whose residual MIPS, RAM and bandwidth all cover it, and the
+    residual is debited immediately. Inputs are not mutated.
 
     Residuals only shrink during the walk, so the largest residual in each
     dimension, read whenever a task fits no VM, bounds every later fit;
     two shortcuts use it and leave the result unchanged. A task whose RAM
-    or bandwidth exceeds that bound is not offered to the VMs. When the
-    caller passes the ``mean_mips`` its views were estimated against,
-    ``tasks`` must already be in walk order (``sort_key()``): they are not
-    sorted again, and the walk stops at the first task whose resource key
-    exceeds the largest residual MIPS over ``mean_mips``. The key's primary
-    field is min(1, mips / mean_mips), and division by a positive number is
-    monotone in floating point, so no later task fits any VM.
+    or bandwidth exceeds that bound is not offered to the VMs, and the walk
+    stops at the first task whose resource key exceeds the largest residual
+    MIPS over ``mean_mips``. The key's primary field is
+    min(1, mips / mean_mips), and division by a positive number is monotone
+    in floating point, so no later task fits any VM.
     """
     slots = [(vm.id, [vm.spec.mips - vm.reserved_mips,
                       vm.spec.ram_mb - vm.reserved_ram_mb,
                       vm.spec.bandwidth_bps - vm.reserved_bw_bps])
              for vm in utilization_sort(vms, is_vm=True)]
-    if mean_mips is None:
-        tasks = utilization_sort(tasks)
     result = Assignment(tasks)
     if not slots:
         return result
     # The bounds start open, so a walk that places every task never
     # computes them; they are re-read only if a task was placed since.
-    most_mips = most_ram = most_bw = limit = math.inf
+    most_ram = most_bw = limit = math.inf
     debited = True
     hits = result.hits
     for position, task in enumerate(tasks):
@@ -164,8 +161,7 @@ def map_workloads(tasks, vms, mean_mips=None):
                 debited = False
                 most_mips, most_ram, most_bw = (
                     max(column) for column in zip(*(r for _, r in slots)))
-                if mean_mips is not None:
-                    limit = most_mips / mean_mips
+                limit = most_mips / mean_mips
     return result
 
 
@@ -211,16 +207,15 @@ class Backlog:
             self.inbox = self._in_arrival_order()
             self.held, self.views = [], []
         if self.inbox:
-            self._insert_inbox(vms, means, interval_s)
-        hits = map_workloads(self.views, vms, mean_mips=means[0]).hits
+            self._insert_inbox(means, interval_s)
+        hits = map_workloads(self.views, vms, means[0]).hits
         placed = [(self.held[i][-1], vm_id) for i, vm_id in hits]
         for i, _ in reversed(hits):
             del self.held[i], self.views[i]
         return placed
 
-    def _insert_inbox(self, vms, means, interval_s):
-        views = task_views([task for _, task in self.inbox], vms, interval_s,
-                           means=means)
+    def _insert_inbox(self, means, interval_s):
+        views = task_views([task for _, task in self.inbox], means, interval_s)
         key = sort_key()
         # Flat tuples sort faster than nested ones. Arrival numbers are unique
         # and new ones exceed every held one: each new entry follows its ties.

@@ -127,8 +127,10 @@ def test_criterion_07_task_mapping_oracle():
                                     mips_requested=float(rng.integers(1, 10) * 100),
                                     ram_mb=float(rng.integers(1, 8) * 64))
                      for i in range(int(rng.integers(0, 7)))]
-            views = utilization.task_views(tasks, vms)
-            got = utilization.map_workloads(views, vms)
+            means = utilization.vm_means(vms)
+            views = utilization.task_views(tasks, means)
+            got = utilization.map_workloads(utilization.utilization_sort(views),
+                                            vms, means[0])
             want_assigned, want_unassigned = oracle_map(views, vms)
             assert got.assigned == want_assigned
             assert got.unassigned == want_unassigned
@@ -158,7 +160,7 @@ def test_criterion_08_thermal_scheduler_safety():
         for _ in range(500):   # partition
             vms = [_random_vm(rng, i, (-6.0, 6.0)) for i in range(10)]
             qs = scheduler.classify_and_enqueue(vms, th)
-            ids = list(qs.q_hot) + list(qs.q_warm) + list(qs.q_cold)
+            ids = [vm_id for q in qs.values() for vm_id in q]
             assert sorted(ids) == sorted(vm.id for vm in vms)
             assert len(set(ids)) == len(ids)
         for _ in range(500):   # anti-aggravation
@@ -171,9 +173,7 @@ def test_criterion_08_thermal_scheduler_safety():
                                       thresholds=th)
             qs = scheduler.classify_and_enqueue(vms, th)
             klass = {vm.id: vm.thermal_class for vm in vms}
-            remaining = {c: set(qs.queue(c)) for c in
-                         (thermal.ThermalClass.HOT, thermal.ThermalClass.WARM,
-                          thermal.ThermalClass.COLD)}
+            remaining = {c: set(q) for c, q in qs.items()}
             temp = {h.id: h.current_temp_c for h in hosts}
             for action in scheduler.schedule_round(snap, qs):
                 if (temp[action.dst_host] > hosts[0].spec.thermal.theta_ch_c

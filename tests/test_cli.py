@@ -1,12 +1,15 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dctherm import cli, traceio
+from dctherm import cli, predictor, traceio
+from dctherm.gru import FeatureNorm, GruModel
 from dctherm.model import WorkloadGenConfig, config_to_dict, default_datacenter
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -109,10 +112,7 @@ def test_train_predict_cycle(tmp_path, capsys):
     assert "test_accuracy=" in out
 
     data_path = tmp_path / "telemetry.csv"
-    import numpy as np
-
-    from dctherm.predictor import synthesize_telemetry
-    records = synthesize_telemetry(1, 30, np.random.default_rng(4))
+    records = predictor.synthesize_telemetry(1, 30, np.random.default_rng(4))
     traceio.save_telemetry_csv(records, data_path)
     assert cli.main(["predict", "--model", str(model_path),
                      "--data", str(data_path)]) == 0
@@ -127,15 +127,97 @@ def test_predict_garbage_model_exit_3(tmp_path):
     assert cli.main(["predict", "--model", str(bad), "--data", str(data)]) == 3
 
 
-def test_predict_truncated_model_exit_3(tmp_path):
+def test_predict_truncated_model_exit_3(tmp_path, monkeypatch):
+    # Every case must fail on its length before a model is built: the
+    # 184-byte file's header claims a 9 -> 20000 layer (8.94 GiB for u).
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before the file length was checked")
+
+    monkeypatch.setattr(predictor.GruModel, "create", no_model)
     blob = (Path(__file__).parent / "data" / "model_v1.bin").read_bytes()
+    no_layers = (predictor.MODEL_MAGIC + struct.pack("<III", 1, 0, 9)
+                 + bytes(168))
+    huge_layer = (predictor.MODEL_MAGIC + struct.pack("<IIII", 1, 1, 9, 20000)
+                  + bytes(160))
     model_path = tmp_path / "model.bin"
     data = tmp_path / "d.csv"
     data.write_text(",".join(traceio.CSV_COLUMNS) + "\n")
-    for bad in (blob[:12], blob[:30], blob[:-3], blob + b"\0"):
+    for bad in (blob[:12], blob[:30], blob[:-3], blob + b"\0", no_layers,
+                huge_layer):
         model_path.write_bytes(bad)
         assert cli.main(["predict", "--model", str(model_path),
                          "--data", str(data)]) == 3
+
+
+def test_predict_with_a_model_of_other_input_size_exit_3(tmp_path, capsys):
+    # Once a numpy broadcast ValueError (exit 1) in feature normalization.
+    norm = FeatureNorm(np.zeros(5), np.ones(5), 0.0, 1.0)
+    model_path = tmp_path / "five.bin"
+    predictor.save_model(GruModel.create(5, (3,), norm), model_path)
+    data_path = tmp_path / "telemetry.csv"
+    traceio.save_telemetry_csv(
+        predictor.synthesize_telemetry(1, 10, np.random.default_rng(4)),
+        data_path)
+    assert cli.main(["predict", "--model", str(model_path),
+                     "--data", str(data_path)]) == 3
+    err = capsys.readouterr().err
+    assert "5 features" in err and "9" in err
+
+
+NOT_UTF8 = b"\xff\xfe\xfa"
+
+
+def _unreadable_inputs(tmp_path, case):
+    """argv for one CLI command given a text input it cannot parse."""
+    telemetry = tmp_path / "telemetry.csv"
+    telemetry.write_bytes(",".join(traceio.CSV_COLUMNS).encode() + b"\n"
+                          + NOT_UTF8 + b"\n")
+    if case == "train-predictor":
+        return ["train-predictor", "--data", str(telemetry),
+                "--out", str(tmp_path / "model.bin")]
+    if case == "predict":
+        model = Path(__file__).parent / "data" / "model_v1.bin"
+        return ["predict", "--model", str(model), "--data", str(telemetry)]
+    if case == "simulate":
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        (trace_dir / "vm_0.trace").write_bytes(b"10\n" + NOT_UTF8 + b"\n")
+        return ["simulate", "--config",
+                str(write_config(tmp_path, trace_dir=str(trace_dir)))]
+    run_dir = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out", str(run_dir)]) == 0
+    name, damage = {
+        "report-summary-not-utf8": ("summary.csv", NOT_UTF8),
+        "report-per-step-not-utf8": ("per_step.csv", NOT_UTF8),
+        "report-summary-not-a-number": ("summary.csv", b"x"),
+    }[case]
+    path = run_dir / name
+    text = path.read_bytes()
+    # Replace the last field of the second line (a number in both files).
+    header, row, rest = text.split(b"\n", 2)
+    path.write_bytes(header + b"\n" + row[:row.rindex(b",") + 1] + damage
+                     + b"\n" + rest)
+    return ["report", "--in", str(run_dir)]
+
+
+@pytest.mark.parametrize("case", [
+    "train-predictor", "predict", "simulate", "report-summary-not-utf8",
+    "report-per-step-not-utf8", "report-summary-not-a-number"])
+def test_unreadable_text_input_exit_3_without_traceback(tmp_path, capsys,
+                                                        case):
+    # Each once leaked a UnicodeDecodeError or ValueError traceback (exit 1).
+    argv = _unreadable_inputs(tmp_path, case)
+    capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "dctherm.cli", *argv],
+                            env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("io error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_simulate_arrival_rate_above_bound_exit_2(tmp_path, capsys):

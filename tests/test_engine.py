@@ -477,7 +477,7 @@ def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
         arrivals.clear()
         taken.clear()
         step(state)
-        views = task_views(pending + arrivals, placed, cfg.interval_s)
+        views = task_views(pending + arrivals, means, cfg.interval_s)
         want, _ = oracle_map(views, placed)
         assert [(task.id, vm_id) for task, vm_id in taken] == want
     assert rebuilds >= 10 and len(state.pending_tasks) >= 50
@@ -510,8 +510,9 @@ def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
             arrived += 1
             backlog.extend([task])
             pending.append(task)
-        want, _ = oracle_map(utilization.task_views(pending, vms), vms)
-        got = backlog.take(vms, utilization.vm_means(vms), 300)
+        means = utilization.vm_means(vms)
+        want, _ = oracle_map(utilization.task_views(pending, means), vms)
+        got = backlog.take(vms, means, 300)
         assert [(task.id, vm_id) for task, vm_id in got] == want
         taken = {task.id for task, _ in got}
         pending = [task for task in pending if task.id not in taken]

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,26 @@ def test_trailing_bytes_after_model_rejected(tmp_path):
     path = tmp_path / "long.bin"
     path.write_bytes(blob + b"\0")
     with pytest.raises(ParseError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("header,match", [
+    # Once an IndexError when the empty layer stack was built.
+    ((1, 0, 9), "no layers"),
+    # 184 bytes claiming one 9 -> 20000 layer: building that model would
+    # allocate 8.94 GiB for u alone before the reads ran out of bytes.
+    ((1, 1, 9, 20000), "truncated"),
+], ids=["no-layers", "huge-layer"])
+def test_bad_dimension_table_rejected_before_a_model_is_built(
+        header, match, tmp_path, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before the file length was checked")
+
+    monkeypatch.setattr(predictor.GruModel, "create", no_model)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(predictor.MODEL_MAGIC
+                     + struct.pack(f"<{len(header)}I", *header) + bytes(160))
+    with pytest.raises(ParseError, match=match):
         load_model(path)
 
 

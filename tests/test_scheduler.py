@@ -1,9 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from dctherm.errors import InvalidConfig, UnknownPolicy
 from dctherm.model import HostSpec, HostState, VmSpec, VmState
-from dctherm.scheduler import (PlacementAction, QueueSet, Snapshot,
+from dctherm.scheduler import (PlacementAction, Snapshot,
                                classify_and_enqueue, queue_preference,
                                registered_policies, run_policy,
                                schedule_round)
@@ -41,23 +43,24 @@ def snapshot_of(hosts, vms, waiting=None, thresholds=TH):
 
 def test_classify_empty():
     qs = classify_and_enqueue([], TH)
-    assert qs.classified_empty
+    assert list(qs) == [ThermalClass.HOT, ThermalClass.WARM, ThermalClass.COLD]
+    assert not any(qs.values())
 
 
 def test_classify_one_per_queue():
     vms = [make_vm(0, 10.0), make_vm(1, 0.0), make_vm(2, -60.0)]
     qs = classify_and_enqueue(vms, TH)
-    assert list(qs.q_hot) == ["vm-0"]
-    assert list(qs.q_warm) == ["vm-1"]
-    assert list(qs.q_cold) == ["vm-2"]
+    assert list(qs[ThermalClass.HOT]) == ["vm-0"]
+    assert list(qs[ThermalClass.WARM]) == ["vm-1"]
+    assert list(qs[ThermalClass.COLD]) == ["vm-2"]
     assert vms[0].thermal_class is ThermalClass.HOT
 
 
 def test_classify_all_warm_preserves_order():
     vms = [make_vm(i, float(i) - 1.0) for i in range(5)]
     qs = classify_and_enqueue(vms, TH)
-    assert list(qs.q_warm) == [f"vm-{i}" for i in range(5)]
-    assert not qs.q_hot and not qs.q_cold
+    assert list(qs[ThermalClass.WARM]) == [f"vm-{i}" for i in range(5)]
+    assert not qs[ThermalClass.HOT] and not qs[ThermalClass.COLD]
 
 
 def test_classify_partition_random():
@@ -66,7 +69,7 @@ def test_classify_partition_random():
         th = VmThresholds(theta_low_c=-2.0, theta_high_c=3.0)
         vms = [make_vm(i, float(rng.uniform(-6, 6))) for i in range(10)]
         qs = classify_and_enqueue(vms, th)
-        ids = list(qs.q_hot) + list(qs.q_warm) + list(qs.q_cold)
+        ids = [vm_id for q in qs.values() for vm_id in q]
         assert sorted(ids) == sorted(vm.id for vm in vms)
         assert len(set(ids)) == len(ids)
 
@@ -81,10 +84,8 @@ def test_classify_requires_delta():
 
 def first_pick(host_temp_c, hot=(), warm=(), cold=()):
     """VM a lone host at host_temp_c takes first from the given queues."""
-    qs = QueueSet()
-    qs.q_hot.extend(hot)
-    qs.q_warm.extend(warm)
-    qs.q_cold.extend(cold)
+    qs = {ThermalClass.HOT: deque(hot), ThermalClass.WARM: deque(warm),
+          ThermalClass.COLD: deque(cold)}
     vms = {vm_id: VmState(spec=VmSpec(id=vm_id), delta_t_c=0.0)
            for vm_id in (*hot, *warm, *cold)}
     snap = Snapshot(hosts=[make_host(0, host_temp_c)], vms=vms,
@@ -126,7 +127,7 @@ def test_midband_side_preference():
 def test_round_no_pending_vms():
     hosts = [make_host(0, 40.0)]
     snap = snapshot_of(hosts, [])
-    assert schedule_round(snap, QueueSet()) == []
+    assert schedule_round(snap, classify_and_enqueue([], TH)) == []
 
 
 def test_round_prefers_cooler_host():
@@ -145,7 +146,7 @@ def test_round_oversized_vm_stays_queued():
     snap = snapshot_of(hosts, [vm])
     qs = classify_and_enqueue([vm], TH)
     assert schedule_round(snap, qs) == []
-    assert list(qs.q_warm) == ["vm-0"]
+    assert list(qs[ThermalClass.WARM]) == ["vm-0"]
 
 
 def test_round_marks_migration_and_same_host_replacement():
@@ -180,9 +181,7 @@ def test_round_anti_aggravation_random():
         snap = snapshot_of(hosts, vms)
         qs = classify_and_enqueue(vms, th)
         classified = {vm.id: vm.thermal_class for vm in vms}
-        remaining = {ThermalClass.HOT: set(qs.q_hot),
-                     ThermalClass.WARM: set(qs.q_warm),
-                     ThermalClass.COLD: set(qs.q_cold)}
+        remaining = {klass: set(q) for klass, q in qs.items()}
         host_temp = {h.id: h.current_temp_c for h in hosts}
         for action in schedule_round(snap, qs, tie_break="id"):
             klass = classified[action.vm_id]

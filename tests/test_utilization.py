@@ -1,8 +1,8 @@
 import numpy as np
 
-from dctherm import utilization
 from dctherm.model import UtilizationSnapshot, VmSpec, VmState, Workload
-from dctherm.utilization import map_workloads, task_views, utilization_sort
+from dctherm.utilization import (map_workloads, task_views, utilization_sort,
+                                 vm_means)
 
 
 def make_vm(idx, mips=500, ram=1024, resource=0.0, mem=0.0, disk=0.0, net=0.0,
@@ -65,17 +65,23 @@ def task(idx, mips, ram=64.0, arrival=0):
                     ram_mb=ram, arrival_s=arrival)
 
 
+def walk(tasks, vms):
+    """The engine's call: views against the VMs' spec means, sorted into
+    walk order, then mapped; returns (views, assignment)."""
+    means = vm_means(vms)
+    views = utilization_sort(task_views(tasks, means))
+    return views, map_workloads(views, vms, means[0])
+
+
 def test_map_single_suitable():
     vms = [make_vm(0)]
-    views = task_views([task(0, 100)], vms)
-    result = map_workloads(views, vms)
+    _, result = walk([task(0, 100)], vms)
     assert result.assigned == [("t-0", "vm-0")] and not result.unassigned
 
 
 def test_map_infeasible_task_unassigned():
     vms = [make_vm(0, mips=200)]
-    views = task_views([task(0, 10_000)], vms)
-    result = map_workloads(views, vms)
+    _, result = walk([task(0, 10_000)], vms)
     assert result.unassigned == ["t-0"] and not result.assigned
 
 
@@ -83,8 +89,7 @@ def test_map_light_to_busy_heavy_to_idle():
     busy = make_vm(0, resource=0.8, reserved_mips=400)   # 100 MIPS left
     idle = make_vm(1, resource=0.0)                      # 500 MIPS left
     light, heavy = task(0, 50), task(1, 300)
-    views = task_views([heavy, light], [busy, idle])
-    result = map_workloads(views, [busy, idle])
+    _, result = walk([heavy, light], [busy, idle])
     assert ("t-0", "vm-0") in result.assigned   # light -> busy
     assert ("t-1", "vm-1") in result.assigned   # heavy -> idle
 
@@ -99,8 +104,7 @@ def test_map_never_overcommits():
         tasks = [task(i, mips=float(rng.integers(50, 700)),
                       ram=float(rng.integers(16, 1024)))
                  for i in range(rng.integers(0, 7))]
-        views = task_views(tasks, vms)
-        result = map_workloads(views, vms)
+        views, result = walk(tasks, vms)
         used = {vm.id: [vm.reserved_mips, vm.reserved_ram_mb] for vm in vms}
         by_id = {v.id: v for v in views}
         for tid, vid in result.assigned:
@@ -121,8 +125,7 @@ def test_map_lighter_task_lands_on_busier_vm():
                for i in range(3)]
         tasks = [task(i, mips=float(rng.integers(10, 400)), ram=1.0)
                  for i in range(4)]
-        views = task_views(tasks, vms)
-        result = map_workloads(views, vms)
+        views, result = walk(tasks, vms)
         demand = {v.id: v.mips_requested for v in views}
         vm_util = {vm.id: vm.util.resource for vm in vms}
         placed = dict(result.assigned)
@@ -150,7 +153,11 @@ def test_oracle_sort_agrees_with_library_sort():
                 == oracle_sort(items, is_vm, decreasing=is_vm)
 
 
-def test_oracle_equivalence_200_cases():
+def test_walk_matches_oracle_500_cases():
+    # Two generators: 200 cases over a wide pool of snapshot values, then 300
+    # coarse-valued cases with reservations and small bandwidths, where ties
+    # and exact fits (a task's MIPS equal to the largest residual) are
+    # common and an off-by-one skip or stop bound would show.
     from oracles import oracle_map
     rng = np.random.default_rng(404)
     pools = {
@@ -160,6 +167,7 @@ def test_oracle_equivalence_200_cases():
         "net": [2.0, 2.0, 20.0],
         "e": [4.0, 4.0, 9.0],
     }
+    cases = []
     for _ in range(200):
         n_vms = int(rng.integers(1, 5))
         n_tasks = int(rng.integers(0, 7))
@@ -174,19 +182,7 @@ def test_oracle_equivalence_200_cases():
         tasks = [task(i, mips=float(rng.integers(1, 10) * 100),
                       ram=float(rng.integers(1, 8) * 64))
                  for i in range(n_tasks)]
-        views = task_views(tasks, vms)
-        got = map_workloads(views, vms)
-        want_assigned, want_unassigned = oracle_map(views, vms)
-        assert got.assigned == want_assigned
-        assert got.unassigned == want_unassigned
-
-
-def test_presorted_walk_that_stops_early_matches_oracle():
-    # The engine's path: views already in walk order, and the mean MIPS they
-    # were taken against, so the walk may skip and stop early. Coarse values
-    # make ties and exact fits (a task's MIPS equal to the largest residual)
-    # common, where an off-by-one bound would show.
-    from oracles import oracle_map
+        cases.append((tasks, vms))
     rng = np.random.default_rng(505)
     for _ in range(300):
         vms = [make_vm(i, mips=float(rng.integers(2, 8) * 100),
@@ -201,9 +197,13 @@ def test_presorted_walk_that_stops_early_matches_oracle():
         tasks = [task(i, mips=float(rng.integers(1, 8) * 100),
                       ram=float(rng.integers(1, 8) * 64))
                  for i in range(int(rng.integers(0, 12)))]
-        views = task_views(tasks, vms)
-        mean_mips = utilization.vm_means(vms)[0]
-        got = map_workloads(utilization_sort(views), vms, mean_mips=mean_mips)
+        cases.append((tasks, vms))
+    assert len(cases) == 500
+    for tasks, vms in cases:
+        # The oracle sorts the views itself, so it gets them in input order.
+        means = vm_means(vms)
+        views = task_views(tasks, means)
+        got = map_workloads(utilization_sort(views), vms, means[0])
         want_assigned, want_unassigned = oracle_map(views, vms)
         assert got.assigned == want_assigned
         assert got.unassigned == want_unassigned
