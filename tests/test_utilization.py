@@ -153,12 +153,19 @@ def test_oracle_sort_agrees_with_library_sort():
                 == oracle_sort(items, is_vm, decreasing=is_vm)
 
 
-def test_walk_matches_oracle_500_cases():
-    # Two generators: 200 cases over a wide pool of snapshot values, then 300
-    # coarse-valued cases with reservations and small bandwidths, where ties
-    # and exact fits (a task's MIPS equal to the largest residual) are
-    # common and an off-by-one skip or stop bound would show.
+def assert_walk_matches_oracle(tasks, vms):
     from oracles import oracle_map
+    # The oracle sorts the views itself, so it gets them in input order.
+    means = vm_means(vms)
+    views = task_views(tasks, means)
+    got = map_workloads(utilization_sort(views), vms, means[0])
+    want_assigned, want_unassigned = oracle_map(views, vms)
+    assert got.assigned == want_assigned
+    assert got.unassigned == want_unassigned
+
+
+def test_oracle_equivalence_200_cases():
+    # A wide pool of snapshot values.
     rng = np.random.default_rng(404)
     pools = {
         "resource": [0.1, 0.4, 0.4, 0.9],
@@ -167,7 +174,6 @@ def test_walk_matches_oracle_500_cases():
         "net": [2.0, 2.0, 20.0],
         "e": [4.0, 4.0, 9.0],
     }
-    cases = []
     for _ in range(200):
         n_vms = int(rng.integers(1, 5))
         n_tasks = int(rng.integers(0, 7))
@@ -182,7 +188,13 @@ def test_walk_matches_oracle_500_cases():
         tasks = [task(i, mips=float(rng.integers(1, 10) * 100),
                       ram=float(rng.integers(1, 8) * 64))
                  for i in range(n_tasks)]
-        cases.append((tasks, vms))
+        assert_walk_matches_oracle(tasks, vms)
+
+
+def test_presorted_walk_that_stops_early_matches_oracle():
+    # Coarse values with reservations and small bandwidths make ties and
+    # exact fits (a task's MIPS equal to the largest residual) common, where
+    # an off-by-one skip or stop bound would show.
     rng = np.random.default_rng(505)
     for _ in range(300):
         vms = [make_vm(i, mips=float(rng.integers(2, 8) * 100),
@@ -197,13 +209,4 @@ def test_walk_matches_oracle_500_cases():
         tasks = [task(i, mips=float(rng.integers(1, 8) * 100),
                       ram=float(rng.integers(1, 8) * 64))
                  for i in range(int(rng.integers(0, 12)))]
-        cases.append((tasks, vms))
-    assert len(cases) == 500
-    for tasks, vms in cases:
-        # The oracle sorts the views itself, so it gets them in input order.
-        means = vm_means(vms)
-        views = task_views(tasks, means)
-        got = map_workloads(utilization_sort(views), vms, means[0])
-        want_assigned, want_unassigned = oracle_map(views, vms)
-        assert got.assigned == want_assigned
-        assert got.unassigned == want_unassigned
+        assert_walk_matches_oracle(tasks, vms)
