@@ -18,8 +18,9 @@ for idx, (resource, reserved) in enumerate([(0.8, 400.0), (0.4, 200.0), (0.0, 0.
     vm.e_total_w = 10.0 * resource
     fleet.append(vm)
 
+order = utilization_sort(fleet, is_vm=True)
 print("== VM order the mapper will scan (most utilized first) ==")
-for vm in utilization_sort(fleet, is_vm=True):
+for vm in order:
     print(f"  {vm.id}: utilization {vm.util.resource:.0%}, "
           f"{vm.spec.mips - vm.reserved_mips:.0f} MIPS free")
 
@@ -33,7 +34,7 @@ tasks = [
 
 means = vm_means(fleet)
 views = utilization_sort(task_views(tasks, means))
-result = map_workloads(views, fleet, means[0])
+result = map_workloads(views, order, means[0])
 
 print("\n== assignments (light tasks pack the busy VM first) ==")
 for task_id, vm_id in result.assigned:

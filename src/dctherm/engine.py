@@ -8,24 +8,36 @@ policy whose ``scheduler.POLICIES`` entry says so evicts every VM of a host
 above its t_over_c. Every VM is in exactly one of ``state.waiting`` or one
 host's ``placed_vms``, so a VM is placed exactly when it is not waiting.
 
-A step does each task's and each host's work once, not once per step:
+A step does each task's work once and each VM's and host's work only when
+its inputs changed. Every VM and host starts dirty:
 
 - arrivals are drawn in one block (``traceio.generate_workloads``);
-- the placed VMs and their spec means are recomputed only when the
-  waiting list changes;
-- the power phase reuses a host's last power figures while its
-  utilization, busy flag and having VMs at all are unchanged; it keeps
-  them on the host, where the next refresh reads the utilization and the
-  dynamic draw;
+- the placed VMs and their spec means are rebuilt only when the waiting
+  list changes, and the mapper's walk order is kept across steps: the
+  refresh moves each VM whose sort key changed, unless most of the walk
+  is dirty, when one stable sort after placement costs less; the mapper
+  reads a VM's residual only when its walk reaches it;
+- the refresh recomputes a VM's utilization and power share only when
+  its reservations or host changed, its scoring host's utilization
+  changed while it holds a power share, it replays a trace, or it waits;
+- the power phase recomputes a host's utilization, busy flag and
+  reserved MIPS only when its VM list or a VM's load on it changed, and
+  its power figures only when those changed; the next refresh reads the
+  utilization and the dynamic draw from the host;
+- a host's temperature step is reused while its dynamic draw and start
+  temperature equal those of its last one;
 - the predicted temperature change (delta-T) that the scheduler
   classifies on is computed only for the VMs awaiting placement.
 
 None of this changes a result: the same inputs reach the same functions
-in the same order. One replicate is one single-threaded deterministic
-loop; replicates use seeds derived from the base seed and are merged in
-index order, so results depend only on (config, seed).
+in the same order, each sum runs over the same VMs in the same order,
+and the energy total adds every host's draw on every step. One replicate
+is one single-threaded deterministic loop; replicates use seeds derived
+from the base seed and are merged in index order, so results depend only
+on (config, seed).
 """
 
+import bisect
 import os
 from dataclasses import dataclass, field
 
@@ -85,6 +97,7 @@ class SimulationState:
             self.hosts.append(host)
             self.temp_series[spec.id] = []
         self.host_by_id = {h.id: h for h in self.hosts}
+        self.vm_index = {spec.id: i for i, spec in enumerate(self.cfg.vms)}
         for spec in self.cfg.vms:
             vm = VmState(spec=spec)
             self.vms[spec.id] = vm
@@ -94,12 +107,23 @@ class SimulationState:
             else:
                 self.waiting.append(spec.id)
         # The placed VMs (VmState, in config order) and their spec means, as
-        # of the waiting list ``placed_for``.
+        # of the waiting list ``placed_for``; the same VMs in the mapper's
+        # walk order, with their walk keys (``utilization.sort_key(is_vm=
+        # True)`` plus the config index) as a list in that order and by id.
+        # The keys are None while the walk is to be sorted afresh.
         self.placed_for = None
         self.placed = []
         self.placed_means = None
-        # Least utilized host at the last refresh: unplaced VMs are scored
-        # against it.
+        self.walk = []
+        self.walk_keys = None
+        self.walk_key = {}
+        # VMs whose view the next refresh recomputes, and hosts whose
+        # utilization, busy flag and reserved MIPS the next power phase
+        # recomputes (ids). Everything starts dirty.
+        self.dirty_vms = set(self.vms)
+        self.dirty_hosts = set(self.host_by_id)
+        # Least utilized host at the last refresh with VMs waiting: unplaced
+        # VMs are scored against it.
         self.fallback_host = None
         self.rng_arrivals = np.random.default_rng([self.seed, STREAM_ARRIVALS])
         self.rng_workload = np.random.default_rng([self.seed, STREAM_WORKLOAD])
@@ -109,6 +133,7 @@ class SimulationState:
         if self.cfg.trace_dir is not None:
             self.traces = load_trace_assignments(self.cfg.trace_dir,
                                                  [v.id for v in self.cfg.vms])
+        _update_placed(self)
 
 
 def load_trace_assignments(trace_dir, vm_ids):
@@ -140,15 +165,37 @@ def _scoring_host(state, vm):
 
 
 def _refresh_vm_views(state):
-    """Recompute each VM's utilization snapshot and power share from its
-    current reservations; the mapper sorts on both. Delta-T is left to
+    """Recompute the utilization snapshot and power share of each VM whose
+    inputs may have changed; the mapper sorts on both. Those are the VMs
+    marked dirty since the last refresh (reservations, host or scoring
+    host's utilization changed), every trace-driven VM and every waiting
+    VM (their fallback host can change). Delta-T is left to
     _predict_delta_t, which runs only for the VMs awaiting placement."""
-    state.fallback_host = min(state.hosts, key=lambda h: (h.cpu_util, h.id))
-    for vm_id, vm in state.vms.items():
+    dirty, traces = state.dirty_vms, state.traces
+    if state.waiting:
+        state.fallback_host = min(state.hosts,
+                                  key=lambda h: (h.cpu_util, h.id))
+        dirty.update(state.waiting)
+    dirty.update(traces)
+    vm_key = utilization.sort_key(is_vm=True)
+    if 2 * len(dirty) > len(state.walk):
+        # Most of the walk may change key: one stable sort after placement
+        # costs less than moving each VM.
+        state.walk_keys = None
+    elif state.walk_keys is None:
+        # The walk is sorted by the keys its VMs hold until this loop.
+        state.walk_keys = [(*vm_key(vm), state.vm_index[vm.id])
+                           for vm in state.walk]
+        state.walk_key = {vm.id: k
+                          for vm, k in zip(state.walk, state.walk_keys)}
+    vms, walk, keys = state.vms, state.walk, state.walk_keys
+    walk_key, mark_host = state.walk_key, state.dirty_hosts.add
+    for vm_id in dirty:
+        vm = vms[vm_id]
         spec = vm.spec
         # A zero reservation reads exactly 0.0, so idle VMs (most of them on
         # most steps) skip the divisions.
-        trace = state.traces.get(vm_id)
+        trace = traces.get(vm_id)
         if trace is not None:
             # Trace-driven load: the replayed CPU percent at the clock,
             # cycling the trace past its end, stands in for the demand.
@@ -167,21 +214,56 @@ def _refresh_vm_views(state):
         util = vm.util
         if (resource != util.resource or memory_pct != util.memory_pct
                 or network_pct != util.network_pct):
-            vm.util = UtilizationSnapshot(
+            util = vm.util = UtilizationSnapshot(
                 resource=resource, memory_pct=memory_pct,
                 disk_pct=util.disk_pct, network_pct=network_pct)
+            if vm.host_id:
+                mark_host(vm.host_id)
         # Waiting VMs are assessed at full demand; placed ones at their
         # current reservation level. A zero share adds exactly 0.0 W
         # (dynamic_power(u) - dynamic_power(u)), so it skips the power model.
         share = resource if vm.host_id else 1.0
-        if not share:
+        if share:
+            host = _scoring_host(state, vm)
+            u_share = spec.mips * share / host.spec.total_mips
+            with_vm = energy.dynamic_power(
+                min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
+            vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
+        else:
             vm.e_total_w = 0.0
-            continue
-        host = _scoring_host(state, vm)
-        u_share = spec.mips * share / host.spec.total_mips
-        with_vm = energy.dynamic_power(min(1.0, host.cpu_util + u_share),
-                                       host.spec.power.dyn)
-        vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
+        old = walk_key.get(vm_id) if keys is not None else None
+        if old is not None:
+            new = (*vm_key(vm), old[-1])
+            if new != old:
+                # The VM leaves the walk at its old key and rejoins at its
+                # new one; unique keys keep the walk sorted.
+                at = bisect.bisect_left(keys, old)
+                del keys[at], walk[at]
+                at = bisect.bisect_left(keys, new)
+                keys.insert(at, new)
+                walk.insert(at, vm)
+                walk_key[vm_id] = new
+    dirty.clear()
+
+
+def _update_placed(state):
+    """Bring the placed VMs, their spec means and their walk order up to
+    date after placement.
+
+    The placed VMs and their means are rebuilt when the waiting list
+    changed since the last rebuild. The walk is sorted afresh (a stable
+    sort of config order) then, or when the refresh found most of it
+    dirty; otherwise the refresh has moved each VM whose key changed.
+    """
+    if state.waiting != state.placed_for:
+        waiting = set(state.waiting)
+        state.placed_for = list(state.waiting)
+        state.placed = [vm for vm in state.vms.values()
+                        if vm.id not in waiting]
+        state.placed_means = utilization.vm_means(state.placed)
+        state.walk_keys = None
+    if state.walk_keys is None:
+        state.walk = utilization.utilization_sort(state.placed, is_vm=True)
 
 
 def _predict_delta_t(state):
@@ -213,6 +295,8 @@ def _apply_actions(state, actions):
                                  f"{vm.id}->{action.dst_host}"))
         vm.host_id = action.dst_host
         dst.placed_vms.append(action.vm_id)
+        state.dirty_vms.add(action.vm_id)
+        state.dirty_hosts.add(action.dst_host)
     placed = {action.vm_id for action in actions}
     state.waiting = [vm_id for vm_id in state.waiting if vm_id not in placed]
 
@@ -235,15 +319,9 @@ def step(state):
         state.events.append((clock, "arrivals", str(count)))
 
     # 2. map pending tasks onto the placed (not waiting) VMs
-    if state.waiting != state.placed_for:
-        waiting = set(state.waiting)
-        state.placed_for = list(state.waiting)
-        state.placed = [vm for vm in state.vms.values()
-                        if vm.id not in waiting]
-        state.placed_means = utilization.vm_means(state.placed)
-    if state.pending_tasks and state.placed:
+    if state.pending_tasks and state.walk:
         for task, vm_id in state.pending_tasks.take(
-                state.placed, state.placed_means, interval):
+                state.walk, state.placed_means, interval):
             vm = state.vms[vm_id]
             task.assigned_vm = vm_id
             task.start_s = clock
@@ -251,6 +329,8 @@ def step(state):
             vm.reserved_ram_mb += task.ram_mb
             vm.reserved_bw_bps += bandwidth_need(task, interval)
             state.running_tasks.append(task)
+            state.dirty_vms.add(vm_id)
+            state.dirty_hosts.add(vm.host_id)
 
     # 3. VM placement by the active policy
     _refresh_vm_views(state)
@@ -259,6 +339,7 @@ def step(state):
             if host.current_temp_c > host.spec.thermal.t_over_c and host.placed_vms:
                 state.waiting.extend(host.placed_vms)
                 host.placed_vms = []
+                state.dirty_hosts.add(host.id)
                 state.events.append((clock, "overheat-evict", host.id))
     if state.waiting:
         _predict_delta_t(state)
@@ -272,11 +353,22 @@ def step(state):
             if vm.host_id is not None:
                 # Evicted from an overheated host but not re-placed.
                 state.events.append((clock, "overheat-unresolved", vm_id))
+    _update_placed(state)
 
     # 4. energy + 5. temperature per host
-    for host in state.hosts:
-        u = host.cpu_util = _host_utilization(state, host)
-        busy = any(state.vms[v].reserved_mips > 0 for v in host.placed_vms)
+    vms = state.vms
+    for host_id in state.dirty_hosts:
+        host = state.host_by_id[host_id]
+        u = _host_utilization(state, host)
+        if u != host.cpu_util:
+            host.cpu_util = u
+            # The VMs with a power share read this host's utilization; a
+            # zero share reads 0.0 W whatever the host does.
+            state.dirty_vms.update(v for v in host.placed_vms
+                                   if vms[v].util.resource)
+        busy = any(vms[v].reserved_mips > 0 for v in host.placed_vms)
+        host.reserved_mips = sum(vms[v].reserved_mips
+                                 for v in host.placed_vms)
         inputs = (u, busy, bool(host.placed_vms))
         if inputs != host.power_inputs:
             host.power_inputs = inputs
@@ -285,18 +377,22 @@ def step(state):
             host.power_w = energy.host_power(host.spec.power, active,
                                              host.spec.cores, u).total_w
             host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
+    state.dirty_hosts.clear()
+    for host in state.hosts:
         state.energy_j += host.power_w * interval
-        host.current_temp_c = thermal.cpu_temperature(
-            host.dynamic_w, host.spec.thermal, cfg.thermal_mode, interval,
-            host.current_temp_c)
+        # cpu_temperature is a pure function: equal inputs, equal result.
+        inputs = (host.dynamic_w, host.current_temp_c)
+        if inputs != host.temp_inputs:
+            host.temp_inputs = inputs
+            host.temp_result_c = thermal.cpu_temperature(
+                host.dynamic_w, host.spec.thermal, cfg.thermal_mode,
+                interval, host.current_temp_c)
+        host.current_temp_c = host.temp_result_c
         state.temp_series[host.id].append(host.current_temp_c)
 
     # 6. task progress, completions, SLA
     still_running = []
     waiting = set(state.waiting)
-    host_demand = {
-        h.id: sum(state.vms[v].reserved_mips for v in h.placed_vms)
-        for h in state.hosts}
     for task in state.running_tasks:
         vm = state.vms[task.assigned_vm]
         if vm.id in waiting:
@@ -304,7 +400,7 @@ def step(state):
             still_running.append(task)
             continue
         host = state.host_by_id[vm.host_id]
-        demand = host_demand[host.id]
+        demand = host.reserved_mips
         host_share = min(1.0, host.spec.total_mips / demand) if demand else 1.0
         vm_demand = vm.reserved_mips
         vm_share = min(1.0, vm.spec.mips / vm_demand) if vm_demand else 1.0
@@ -318,6 +414,8 @@ def step(state):
             vm.reserved_mips -= task.mips_requested
             vm.reserved_ram_mb -= task.ram_mb
             vm.reserved_bw_bps -= bandwidth_need(task, interval)
+            state.dirty_vms.add(task.assigned_vm)
+            state.dirty_hosts.add(vm.host_id)
             state.completed_tasks.append(task)
             if check_sla(task, cfg.sla_slack):
                 state.sla_violations += 1

@@ -38,11 +38,16 @@ class UtilizationSnapshot:
     network_pct: float = 0.0
 
     def __post_init__(self):
+        # Written out, not looped over the names: the engine builds one per
+        # VM whose reservations changed, on every step.
         if not 0.0 <= self.resource <= 1.0:
             raise InvalidConfig("resource", "fraction must be in [0, 1]")
-        for name in ("memory_pct", "disk_pct", "network_pct"):
-            if not 0.0 <= getattr(self, name) <= 100.0:
-                raise InvalidConfig(name, "percent must be in [0, 100]")
+        if not 0.0 <= self.memory_pct <= 100.0:
+            raise InvalidConfig("memory_pct", "percent must be in [0, 100]")
+        if not 0.0 <= self.disk_pct <= 100.0:
+            raise InvalidConfig("disk_pct", "percent must be in [0, 100]")
+        if not 0.0 <= self.network_pct <= 100.0:
+            raise InvalidConfig("network_pct", "percent must be in [0, 100]")
 
 
 # Most cores a host may declare: well above any two-socket server, and low
@@ -77,7 +82,8 @@ class HostState:
     """Runtime view of one physical machine.
 
     The engine builds each host with ``dynamic_w`` at utilization 0; its
-    power phase writes the last four fields each step, and the next step's
+    power phase writes the fields after ``placed_vms``, for a host only
+    when its VM list or one of its VMs' loads changed, and the next step's
     VM refresh reads ``cpu_util`` and ``dynamic_w``.
     """
 
@@ -88,6 +94,9 @@ class HostState:
     dynamic_w: float = 0.0        # dynamic processor draw, feeds the RC model
     cpu_util: float = 0.0         # CPU utilization both draws were taken at
     power_inputs: tuple | None = None  # (cpu_util, busy, has VMs) behind them
+    reserved_mips: float = 0.0    # its VMs' reserved MIPS, shared out by MIPS
+    temp_inputs: tuple | None = None   # (dynamic_w, start temperature) and
+    temp_result_c: float = 0.0    # the result of the last temperature step
 
     @property
     def id(self):

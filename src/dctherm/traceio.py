@@ -2,7 +2,9 @@
 
 Loaders are total over their documented formats: a file either parses
 fully or raises a positioned error. Report CSVs use '.' decimals, LF line
-endings and UTF-8 so equal runs produce byte-identical files.
+endings and UTF-8 so equal runs produce byte-identical files. Their rows
+hold only ints, strings and builtin floats, written with ``str``, which
+for a float is its shortest round-trip text (its ``repr``).
 """
 
 import csv
@@ -115,11 +117,16 @@ def load_telemetry_csv(path):
                              f"got {len(row)}", line_no=row_no)
         try:
             fans = tuple(float(v) for v in row[2:7])
+            cpu_temp_c = float(row[11])
+            # float() reads "inf", "nan" and "1e400"; the utilizations'
+            # range checks already reject them.
+            if not all(map(math.isfinite, (*fans, cpu_temp_c))):
+                raise ParseError("fan RPM and cpu_temp_c must be finite")
             record = TelemetryRecord(
                 server_id=row[0], timestamp=row[1], fan_rpm=fans,
                 system_pct=float(row[7]), memory_pct=float(row[8]),
                 cpu_pct=float(row[9]), io_pct=float(row[10]),
-                cpu_temp_c=float(row[11]))
+                cpu_temp_c=cpu_temp_c)
         except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), line_no=row_no) from None
         key = _timestamp_key(record.timestamp)
@@ -138,12 +145,10 @@ def save_telemetry_csv(records, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in records:
-            fields = ([rec.server_id, rec.timestamp]
-                      + [_fmt(v) for v in rec.fan_rpm]
-                      + [_fmt(rec.system_pct), _fmt(rec.memory_pct),
-                         _fmt(rec.cpu_pct), _fmt(rec.io_pct),
-                         _fmt(rec.cpu_temp_c)])
-            fh.write(",".join(fields) + "\n")
+            fields = (rec.server_id, rec.timestamp, *rec.fan_rpm,
+                      rec.system_pct, rec.memory_pct, rec.cpu_pct,
+                      rec.io_pct, rec.cpu_temp_c)
+            fh.write(",".join(map(str, fields)) + "\n")
 
 
 def generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
@@ -219,20 +224,13 @@ def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
     return out
 
 
-def _fmt(value):
-    """Shortest round-trip decimal text for floats; plain text otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_workloads_csv(workloads, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(WORKLOAD_HEADER) + "\n")
         for w in workloads:
-            fh.write(",".join(_fmt(v) for v in (
+            fh.write(",".join(map(str, (
                 w.id, w.arrival_s, w.length_mi, w.mips_requested,
-                w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd)) + "\n")
+                w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd))) + "\n")
 
 
 def write_report(report, out_dir):
@@ -248,11 +246,11 @@ def write_report(report, out_dir):
             n_replicates = len(rows) if len(rows) == 1 else len(rows) - 1
             for i, row in enumerate(rows):
                 label = f"replicate-{i}" if i < n_replicates else "mean"
-                fh.write(label + "," + ",".join(_fmt(v) for v in row) + "\n")
+                fh.write(label + "," + ",".join(map(str, row)) + "\n")
         with open(per_step_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(PER_STEP_HEADER) + "\n")
-            for row in report.per_step_rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n"
+                          for row in report.per_step_rows)
         manifest = {
             "config_digest": report.config_digest,
             "lambda_per_interval": report.lambda_per_interval,

@@ -7,8 +7,10 @@ fraction, the other three fields percents. The mapper is the greedy
 two-sort algorithm: tasks ascending by estimated demand, VMs descending by
 utilization (energy first), each task to the first VM that still fits it.
 ``sort_key`` is the one ordering and ``map_workloads`` the one walk, over
-tasks already in that order: ``Backlog`` keeps the engine's pending tasks
-sorted, a standalone caller sorts ``task_views(tasks, vm_means(vms))``.
+tasks and VMs already in that order: ``Backlog`` keeps the engine's
+pending tasks sorted and the engine keeps its placed VMs sorted, while a
+standalone caller sorts ``task_views(tasks, vm_means(vms))`` and the VMs
+with ``utilization_sort``.
 """
 
 import bisect
@@ -116,26 +118,28 @@ def map_workloads(tasks, vms, mean_mips):
 
     ``tasks`` must already be in walk order (ascending ``sort_key()``), and
     ``mean_mips`` is the mean VM MIPS their views were estimated against.
-    VMs are walked in descending utilization order; each task lands on the
-    first VM whose residual MIPS, RAM and bandwidth all cover it, and the
-    residual is debited immediately. Inputs are not mutated.
+    ``vms`` must be in walk order too (ascending ``sort_key(is_vm=True)``:
+    the most utilized first); the engine keeps its placed VMs in that order
+    across steps. Each task lands on the first VM whose residual MIPS, RAM
+    and bandwidth all cover it, and the residual is debited immediately. A
+    VM's residual is read when the walk first reaches it, so a walk whose
+    tasks all fit early VMs never reads the rest. Inputs are not mutated.
 
     Residuals only shrink during the walk, so the largest residual in each
-    dimension, read whenever a task fits no VM, bounds every later fit;
-    two shortcuts use it and leave the result unchanged. A task whose RAM
-    or bandwidth exceeds that bound is not offered to the VMs, and the walk
-    stops at the first task whose resource key exceeds the largest residual
-    MIPS over ``mean_mips``. The key's primary field is
-    min(1, mips / mean_mips), and division by a positive number is monotone
-    in floating point, so no later task fits any VM.
+    dimension, read whenever a task fits no VM (by then the walk has reached
+    every VM), bounds every later fit; two shortcuts use it and leave the
+    result unchanged. A task whose RAM or bandwidth exceeds that bound is
+    not offered to the VMs, and the walk stops at the first task whose
+    resource key exceeds the largest residual MIPS over ``mean_mips``. The
+    key's primary field is min(1, mips / mean_mips), and division by a
+    positive number is monotone in floating point, so no later task fits
+    any VM.
     """
-    slots = [(vm.id, [vm.spec.mips - vm.reserved_mips,
-                      vm.spec.ram_mb - vm.reserved_ram_mb,
-                      vm.spec.bandwidth_bps - vm.reserved_bw_bps])
-             for vm in utilization_sort(vms, is_vm=True)]
     result = Assignment(tasks)
-    if not slots:
+    if not vms:
         return result
+    slots = []    # (vm id, [MIPS, RAM, bandwidth] residual) of VMs reached
+    unreached = iter(vms)
     # The bounds start open, so a walk that places every task never
     # computes them; they are re-read only if a task was placed since.
     most_ram = most_bw = limit = math.inf
@@ -150,18 +154,30 @@ def map_workloads(tasks, vms, mean_mips):
         mips = task.mips_requested
         for vm_id, residual in slots:
             if mips <= residual[0] and ram <= residual[1] and bw <= residual[2]:
-                residual[0] -= mips
-                residual[1] -= ram
-                residual[2] -= bw
-                hits.append((position, vm_id))
-                debited = True
                 break
         else:
-            if debited:
-                debited = False
-                most_mips, most_ram, most_bw = (
-                    max(column) for column in zip(*(r for _, r in slots)))
-                limit = most_mips / mean_mips
+            for vm in unreached:
+                vm_id, residual = slot = (vm.id, [
+                    vm.spec.mips - vm.reserved_mips,
+                    vm.spec.ram_mb - vm.reserved_ram_mb,
+                    vm.spec.bandwidth_bps - vm.reserved_bw_bps])
+                slots.append(slot)
+                if mips <= residual[0] and ram <= residual[1] \
+                        and bw <= residual[2]:
+                    break
+            else:
+                # The walk has reached every VM and none fits this task.
+                if debited:
+                    debited = False
+                    most_mips, most_ram, most_bw = (
+                        max(column) for column in zip(*(r for _, r in slots)))
+                    limit = most_mips / mean_mips
+                continue
+        residual[0] -= mips
+        residual[1] -= ram
+        residual[2] -= bw
+        hits.append((position, vm_id))
+        debited = True
     return result
 
 
@@ -200,8 +216,9 @@ class Backlog:
         self.arrivals += len(tasks)
 
     def take(self, vms, means, interval_s):
-        """Map the backlog onto ``vms`` (whose spec means are ``means``) and
-        remove the tasks placed; returns (task, vm id) pairs in walk order."""
+        """Map the backlog onto ``vms``, in walk order (whose spec means are
+        ``means``), and remove the tasks placed; returns (task, vm id) pairs
+        in walk order."""
         if (means, interval_s) != self.basis:
             self.basis = (means, interval_s)
             self.inbox = self._in_arrival_order()

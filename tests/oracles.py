@@ -5,13 +5,17 @@ The scheduling interpreters are coded apart from the library
 implementations are checked against a second reading of the same
 pseudocode, not against themselves. The workload generator's oracle
 draws each task's six uniforms one scalar call at a time. The delta-T
-oracle takes the difference of two temperature evaluations. The GRU oracles
-are a nine-tensor reference layer with the original per-gate arithmetic,
-and central finite differences of the network output.
+oracle takes the difference of two temperature evaluations. The engine's
+VM views and host figures are recomputed from scratch for every VM and
+host, as the engine's refresh and power phase did before they worked only
+on what changed. The GRU oracles are a nine-tensor reference layer with
+the original per-gate arithmetic, and central finite differences of the
+network output.
 """
 
 import numpy as np
 
+from dctherm import energy
 from dctherm.gru import PARAM_NAMES
 from dctherm.model import Workload
 from dctherm.thermal import ThermalClass, cpu_temperature
@@ -40,6 +44,56 @@ def oracle_vm_delta_temperature(vm_power_w, host_power_w, tp, mode, dt_s):
     temperature without it."""
     with_vm = cpu_temperature(host_power_w + vm_power_w, tp, mode, dt_s)
     return with_vm - cpu_temperature(host_power_w, tp, mode, dt_s)
+
+
+def oracle_vm_views(state):
+    """Every VM's utilization (resource, memory, disk, network) and power
+    share, recomputed from its reservations, its host and the hosts'
+    figures of the last power phase: {vm id: (utilization, e_total_w)}."""
+    fallback = min(state.hosts, key=lambda h: (h.cpu_util, h.id))
+    views = {}
+    for vm_id, vm in state.vms.items():
+        spec = vm.spec
+        trace = state.traces.get(vm_id)
+        if trace is not None:
+            resource = trace.samples[state.clock_s // trace.spacing_s
+                                     % len(trace.samples)] / 100.0
+        elif vm.reserved_mips:
+            resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
+        else:
+            resource = 0.0
+        memory_pct = min(100.0, max(0.0, 100.0 * vm.reserved_ram_mb
+                                    / spec.ram_mb)) \
+            if vm.reserved_ram_mb else 0.0
+        network_pct = min(100.0, max(0.0, 100.0 * vm.reserved_bw_bps
+                                     / spec.bandwidth_bps)) \
+            if vm.reserved_bw_bps else 0.0
+        share = resource if vm.host_id else 1.0
+        e_total_w = 0.0
+        if share:
+            host = state.host_by_id[vm.host_id] if vm.host_id else fallback
+            u_share = spec.mips * share / host.spec.total_mips
+            with_vm = energy.dynamic_power(
+                min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
+            e_total_w = max(0.0, with_vm - host.dynamic_w)
+        views[vm_id] = ((resource, memory_pct, vm.util.disk_pct,
+                         network_pct), e_total_w)
+    return views
+
+
+def oracle_host_figures(state, host):
+    """One host's power-phase figures from its VMs as they stand:
+    (CPU utilization, reserved MIPS, total draw, dynamic draw)."""
+    vms = [state.vms[v] for v in host.placed_vms]
+    u = min(1.0, sum(vm.util.resource * vm.spec.mips for vm in vms)
+            / host.spec.total_mips)
+    busy = any(vm.reserved_mips > 0 for vm in vms)
+    active = energy.Activity(processor=bool(vms), storage=busy, memory=busy,
+                             network=busy, extra=busy)
+    return (u, sum(vm.reserved_mips for vm in vms),
+            energy.host_power(host.spec.power, active, host.spec.cores,
+                              u).total_w,
+            energy.dynamic_power(u, host.spec.power.dyn))
 
 
 def fits(task, residual):

@@ -129,8 +129,9 @@ def test_criterion_07_task_mapping_oracle():
                      for i in range(int(rng.integers(0, 7)))]
             means = utilization.vm_means(vms)
             views = utilization.task_views(tasks, means)
-            got = utilization.map_workloads(utilization.utilization_sort(views),
-                                            vms, means[0])
+            got = utilization.map_workloads(
+                utilization.utilization_sort(views),
+                utilization.utilization_sort(vms, is_vm=True), means[0])
             want_assigned, want_unassigned = oracle_map(views, vms)
             assert got.assigned == want_assigned
             assert got.unassigned == want_unassigned

@@ -164,6 +164,26 @@ def test_predict_with_a_model_of_other_input_size_exit_3(tmp_path, capsys):
     assert "5 features" in err and "9" in err
 
 
+@pytest.mark.parametrize("field", ("cpu_temp_c", "fan"))
+def test_non_finite_telemetry_exit_3(tmp_path, capsys, field):
+    # Once read as inf: predict printed mean_abs_error=infC and exited 0.
+    data_path = tmp_path / "telemetry.csv"
+    traceio.save_telemetry_csv(
+        predictor.synthesize_telemetry(1, 12, np.random.default_rng(4)),
+        data_path)
+    header, *rows = data_path.read_text().splitlines()
+    fields = rows[-1].split(",")
+    fields[11 if field == "cpu_temp_c" else 2] = "1e400"
+    rows[-1] = ",".join(fields)
+    data_path.write_text("\n".join([header, *rows]) + "\n")
+    model = Path(__file__).parent / "data" / "model_v1.bin"
+    assert cli.main(["predict", "--model", str(model),
+                     "--data", str(data_path)]) == 3
+    assert cli.main(["train-predictor", "--data", str(data_path),
+                     "--epochs", "1", "--out", str(tmp_path / "m.bin")]) == 3
+    assert "must be finite" in capsys.readouterr().err
+
+
 NOT_UTF8 = b"\xff\xfe\xfa"
 
 

@@ -14,6 +14,6 @@ def test_diffsweep_of_a_checkout_against_itself_finds_no_mismatch():
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     counts = dict(field.split("=") for field in result.stdout.split())
-    # 2 random configs x 4 policies x 2 thermal modes, and fleet, overload
-    # and churn at seed 1.
-    assert counts["runs"] == "19" and counts["mismatches"] == "0"
+    # 2 random configs x 4 policies x 2 thermal modes x (synthetic, trace),
+    # and fleet, overload and churn at seed 1.
+    assert counts["runs"] == "35" and counts["mismatches"] == "0"

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dctherm import energy, engine, thermal, utilization
+from dctherm import energy, engine, model, thermal, utilization
 from dctherm.engine import (SimulationState, check_sla, migration_downtime,
                             poisson_arrivals, run, run_once, step)
 from dctherm.errors import DomainError
@@ -14,7 +14,8 @@ from dctherm.model import (DataCenterConfig, HostSpec, VmSpec, VmState,
                            Workload, WorkloadGenConfig, default_datacenter,
                            validate_config)
 
-from test_golden import CHURN_THERMAL, churn_config, matrix_config
+from test_bench_bytes import simulation_config
+from test_golden import CHURN_THERMAL, churn_config, matrix_config, write_traces
 
 
 def small_config(**kw):
@@ -512,7 +513,8 @@ def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
             pending.append(task)
         means = utilization.vm_means(vms)
         want, _ = oracle_map(utilization.task_views(pending, means), vms)
-        got = backlog.take(vms, means, 300)
+        got = backlog.take(utilization.utilization_sort(vms, is_vm=True),
+                           means, 300)
         assert [(task.id, vm_id) for task, vm_id in got] == want
         taken = {task.id for task, _ in got}
         pending = [task for task in pending if task.id not in taken]
@@ -583,3 +585,97 @@ def test_engine_invariants_hold_after_every_step():
                         * cfg.interval_s
                     assert abs(state.energy_j - energy_before - drawn) \
                         <= 1e-9 * drawn
+
+
+# --- the per-step work done only for what changed ---------------------------
+
+def assert_incremental_state_matches_full_recompute(cfg, steps=None,
+                                                    tasks=()):
+    """Step ``cfg``, with ``tasks`` pending before the first step, and
+    check, at each step, every VM's view after the refresh, the walk order
+    after placement, and every host's power-phase figures and temperature,
+    against a recompute over every VM and host."""
+    from oracles import oracle_host_figures, oracle_vm_views
+
+    refresh, update_placed = engine._refresh_vm_views, engine._update_placed
+    want_hosts = {}
+
+    def checked_refresh(state):
+        refresh(state)
+        for vm_id, (util, e_total_w) in oracle_vm_views(state).items():
+            vm = state.vms[vm_id]
+            assert (vm.util.resource, vm.util.memory_pct, vm.util.disk_pct,
+                    vm.util.network_pct, vm.e_total_w) == (*util, e_total_w)
+
+    def recorded_update(state):
+        # Runs at the end of placement, just before the power phase.
+        update_placed(state)
+        for host in state.hosts:
+            want_hosts[host.id] = (oracle_host_figures(state, host),
+                                   host.current_temp_c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_refresh_vm_views", checked_refresh)
+        patch.setattr(engine, "_update_placed", recorded_update)
+        state = SimulationState(cfg=cfg, seed=cfg.seed)
+        state.pending_tasks.extend(list(tasks))
+        state.tasks_generated = len(tasks)
+        for _ in range(cfg.step_count if steps is None else steps):
+            step(state)
+            waiting = set(state.waiting)
+            assert state.placed == [vm for vm in state.vms.values()
+                                    if vm.id not in waiting]
+            assert [vm.id for vm in state.walk] == [
+                vm.id for vm in utilization.utilization_sort(state.placed,
+                                                             is_vm=True)]
+            for host in state.hosts:
+                figures, start_temp_c = want_hosts[host.id]
+                assert (host.cpu_util, host.reserved_mips, host.power_w,
+                        host.dynamic_w) == figures
+                assert host.current_temp_c == thermal.cpu_temperature(
+                    figures[3], host.spec.thermal, cfg.thermal_mode,
+                    cfg.interval_s, start_temp_c)
+
+
+def quiet_step_configs():
+    """Three small runs where a single change happens on a step when
+    nothing else is dirty: an idle VM evicted from a host that overheats at
+    its idle draw, a lone task that runs for two steps, and an idle host
+    cooling under a 300 s RC constant in time-dependent mode."""
+    hot = thermal.ThermalParams(t_over_c=30.0, t_danger_c=25.0,
+                                t_normal_c=20.0, theta_cl_c=20.0,
+                                theta_ch_c=25.0)
+    evicting = DataCenterConfig(
+        hosts=(HostSpec(id="pm-0", thermal=hot), HostSpec(id="pm-1")),
+        vms=(VmSpec(id="vm-0", host_id="pm-0"),), horizon_s=4 * 300,
+        policy="thermal")
+    lone_task = small_config(horizon_s=4 * 300)
+    cooling = DataCenterConfig(
+        hosts=(HostSpec(id="pm-0", thermal=thermal.ThermalParams(
+            c_jk=600.0, t_initial_c=70.0)),),
+        horizon_s=10 * 300, thermal_mode=thermal.MODE_TIME_DEPENDENT)
+    return [(validate_config(evicting), ()),
+            (validate_config(lone_task),
+             (Workload(id="t", length_mi=300000.0, mips_requested=500.0,
+                       ram_mb=64.0),)),
+            (validate_config(cooling), ())]
+
+
+def test_incremental_state_matches_full_recompute(tmp_path):
+    for cfg, tasks in quiet_step_configs():
+        assert_incremental_state_matches_full_recompute(cfg, tasks=tasks)
+    assert_incremental_state_matches_full_recompute(
+        churn_config("thermal", thermal.MODE_LITERAL))
+    assert_incremental_state_matches_full_recompute(matrix_config(
+        "thermal", thermal.MODE_TIME_DEPENDENT, write_traces(tmp_path)))
+    assert_incremental_state_matches_full_recompute(
+        model.config_from_dict(simulation_config("fleet", seed=1)), steps=40)
+    rng = np.random.default_rng(2026)
+    for _ in range(10):
+        base = random_config(rng)
+        for policy in ("fcfs", "utilization", "thermal",
+                       "thermal+utilization"):
+            for mode in thermal.MODES:
+                assert_incremental_state_matches_full_recompute(
+                    validate_config(dataclasses.replace(
+                        base, policy=policy, thermal_mode=mode)))

@@ -237,3 +237,19 @@ def test_workload_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(traceio.WORKLOAD_HEADER)
     assert len(lines) == 26
+
+
+def test_report_rows_hold_only_builtin_values(tmp_path):
+    # The writers print values with str, which for a numpy float would
+    # print a different text than for the builtin float of equal value.
+    cfg = default_datacenter(seed=4, horizon_s=3000, replicates=2,
+                             workload=WorkloadGenConfig(lambda_per_interval=2.0))
+    report = engine.run(cfg)
+    rows = list(report.per_step_rows) + list(report.replicate_rows)
+    tasks = traceio.spread_arrivals(WorkloadGenConfig(),
+                                    np.random.default_rng(3), 50)
+    rows += [(w.id, w.arrival_s, w.length_mi, w.mips_requested,
+              w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd)
+             for w in tasks]
+    assert report.per_step_rows and tasks
+    assert {type(v) for row in rows for v in row} <= {int, str, float}

@@ -66,11 +66,12 @@ def task(idx, mips, ram=64.0, arrival=0):
 
 
 def walk(tasks, vms):
-    """The engine's call: views against the VMs' spec means, sorted into
-    walk order, then mapped; returns (views, assignment)."""
+    """The engine's call: views against the VMs' spec means, views and VMs
+    sorted into walk order, then mapped; returns (views, assignment)."""
     means = vm_means(vms)
     views = utilization_sort(task_views(tasks, means))
-    return views, map_workloads(views, vms, means[0])
+    return views, map_workloads(views, utilization_sort(vms, is_vm=True),
+                                means[0])
 
 
 def test_map_single_suitable():
@@ -158,7 +159,8 @@ def assert_walk_matches_oracle(tasks, vms):
     # The oracle sorts the views itself, so it gets them in input order.
     means = vm_means(vms)
     views = task_views(tasks, means)
-    got = map_workloads(utilization_sort(views), vms, means[0])
+    got = map_workloads(utilization_sort(views),
+                        utilization_sort(vms, is_vm=True), means[0])
     want_assigned, want_unassigned = oracle_map(views, vms)
     assert got.assigned == want_assigned
     assert got.unassigned == want_unassigned

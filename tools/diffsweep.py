@@ -7,8 +7,10 @@ Each side runs in its own process with ``PYTHONPATH=<root>/src``, so it
 imports that checkout's ``dctherm``. Both sides build their configs with
 the generators of the checkout holding this script, loaded by file path:
 ``tests/test_engine.py::random_config`` (``--configs`` configs x 4 policies
-x 2 thermal modes, 30 steps each) and ``perfbench/workloads.py``'s fleet,
-overload and churn configs at each of ``--seeds``. Every run is reduced to
+x 2 thermal modes, 30 steps each, each run once on synthetic load and once
+replaying the traces of ``tests/test_golden.py::write_traces``, written to
+a temporary directory) and ``perfbench/workloads.py``'s fleet, overload and
+churn configs at each of ``--seeds``. Every run is reduced to
 the sha256 of its (events, per-step rows, summary row), as in
 ``tests/test_golden.py``. The script prints the number of runs, of runs
 with an overheat eviction, of runs with a migration and of mismatches, and
@@ -23,6 +25,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 POLICIES = ("fcfs", "utilization", "thermal", "thermal+utilization")
@@ -38,8 +41,9 @@ def _load(path, name):
     return module
 
 
-def _runs(configs, seeds):
-    """(name, config) per run, built with this checkout's generators."""
+def _runs(configs, seeds, trace_dir):
+    """(name, config) per run, built with this checkout's generators; the
+    traced random runs replay the files in ``trace_dir``."""
     import numpy as np
 
     from dctherm import model, thermal
@@ -51,9 +55,12 @@ def _runs(configs, seeds):
         base = test_engine.random_config(rng)
         for policy in POLICIES:
             for mode in thermal.MODES:
-                yield (f"random-{index}/{policy}/{mode}",
-                       model.validate_config(dataclasses.replace(
-                           base, policy=policy, thermal_mode=mode)))
+                name = f"random-{index}/{policy}/{mode}"
+                cfg = dataclasses.replace(base, policy=policy,
+                                          thermal_mode=mode)
+                yield name, model.validate_config(cfg)
+                yield (f"{name}/trace", model.validate_config(
+                    dataclasses.replace(cfg, trace_dir=trace_dir)))
     for name in SIMULATIONS:
         for seed in seeds:
             yield (f"{name}/seed-{seed}", model.config_from_dict(
@@ -64,17 +71,20 @@ def run_side(configs, seeds):
     """Print one JSON line per run: [name, digest, evicted, migrated]."""
     sys.path.insert(0, str(ROOT / "tests"))   # test_engine imports siblings
     from dctherm import engine
-    from test_golden import report_digest
+    from test_golden import report_digest, write_traces
 
     src = pathlib.Path(os.environ["PYTHONPATH"]).resolve()
     if src not in pathlib.Path(engine.__file__).resolve().parents:
         sys.exit(f"dctherm was imported from {engine.__file__}, not {src}")
 
-    for name, cfg in _runs(configs, seeds):
-        report = engine.run_once(cfg)
-        evicted = any(kind == "overheat-evict" for _, kind, _ in report.events)
-        print(json.dumps([name, report_digest(report), evicted,
-                          report.migrations > 0]))
+    with tempfile.TemporaryDirectory() as trace_dir:
+        write_traces(pathlib.Path(trace_dir))
+        for name, cfg in _runs(configs, seeds, trace_dir):
+            report = engine.run_once(cfg)
+            evicted = any(kind == "overheat-evict"
+                          for _, kind, _ in report.events)
+            print(json.dumps([name, report_digest(report), evicted,
+                              report.migrations > 0]))
 
 
 def side_results(root, configs, seeds):
@@ -91,7 +101,7 @@ def main(argv=None):
     parser.add_argument("roots", nargs="*", metavar="ROOT",
                         help="the two checkouts to compare")
     parser.add_argument("--configs", type=int, default=60,
-                        help="random configs, each run 8 ways")
+                        help="random configs, each run 16 ways")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
                         help="seeds of the perfbench simulation configs")
     parser.add_argument("--side", action="store_true",
