@@ -13,17 +13,21 @@ its inputs changed. Every VM and host starts dirty:
 
 - arrivals are drawn in one block (``traceio.generate_workloads``);
 - the placed VMs and their spec means are rebuilt only when the waiting
-  list changes, and the mapper's walk order is kept across steps: the
-  refresh moves each VM whose sort key changed, unless most of the walk
-  is dirty, when one stable sort after placement costs less; the mapper
-  reads a VM's residual only when its walk reaches it;
-- the refresh recomputes a VM's utilization and power share only when
-  its reservations or host changed, its scoring host's utilization
-  changed while it holds a power share, it replays a trace, or it waits;
-- the power phase recomputes a host's utilization, busy flag and
-  reserved MIPS only when its VM list or a VM's load on it changed, and
-  its power figures only when those changed; the next refresh reads the
-  utilization and the dynamic draw from the host;
+  list changes, and the mapper's walk order is kept across steps: each
+  VM holds its walk key, and the refresh moves each VM whose key changed,
+  unless most of the walk is dirty, when one stable sort after placement
+  costs less; the mapper reads a VM's residual only when its walk
+  reaches it;
+- one function books a task's reservations on its VM, on assignment and
+  on completion, and marks the VM and its host dirty;
+- the refresh recomputes a VM's utilization, power share and walk key
+  only when its reservations or host changed, its scoring host's
+  utilization changed while it holds a power share, it replays a trace,
+  or it waits;
+- the power phase recomputes a host's utilization, busy flag, reserved
+  MIPS and power figures only when its VM list or a VM's load on it
+  changed; the next refresh reads the utilization and the dynamic draw
+  from the host;
 - a host's temperature step is reused while its dynamic draw and start
   temperature equal those of its last one;
 - the predicted temperature change (delta-T) that the scheduler
@@ -38,6 +42,7 @@ on (config, seed).
 """
 
 import bisect
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -52,6 +57,7 @@ from .utilization import Backlog, bandwidth_need
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
+WALK_KEY = operator.attrgetter("walk_key")
 
 
 def migration_downtime(ram_mb, bandwidth_bps):
@@ -107,19 +113,17 @@ class SimulationState:
             else:
                 self.waiting.append(spec.id)
         # The placed VMs (VmState, in config order) and their spec means, as
-        # of the waiting list ``placed_for``; the same VMs in the mapper's
-        # walk order, with their walk keys (``utilization.sort_key(is_vm=
-        # True)`` plus the config index) as a list in that order and by id.
-        # The keys are None while the walk is to be sorted afresh.
+        # of the waiting list ``placed_for``, and the same VMs in the
+        # mapper's walk order: ascending ``VmState.walk_key``. ``resort``
+        # asks for the walk to be sorted afresh after placement.
         self.placed_for = None
         self.placed = []
         self.placed_means = None
         self.walk = []
-        self.walk_keys = None
-        self.walk_key = {}
+        self.resort = False
         # VMs whose view the next refresh recomputes, and hosts whose
-        # utilization, busy flag and reserved MIPS the next power phase
-        # recomputes (ids). Everything starts dirty.
+        # utilization, busy flag, reserved MIPS and draws the next power
+        # phase recomputes (ids). Everything starts dirty.
         self.dirty_vms = set(self.vms)
         self.dirty_hosts = set(self.host_by_id)
         # Least utilized host at the last refresh with VMs waiting: unplaced
@@ -165,52 +169,41 @@ def _scoring_host(state, vm):
 
 
 def _refresh_vm_views(state):
-    """Recompute the utilization snapshot and power share of each VM whose
-    inputs may have changed; the mapper sorts on both. Those are the VMs
-    marked dirty since the last refresh (reservations, host or scoring
-    host's utilization changed), every trace-driven VM and every waiting
-    VM (their fallback host can change). Delta-T is left to
-    _predict_delta_t, which runs only for the VMs awaiting placement."""
+    """Recompute the utilization snapshot, power share and walk key of each
+    VM whose inputs may have changed; the mapper sorts on the first two.
+    Those are the VMs marked dirty since the last refresh (reservations,
+    host or scoring host's utilization changed), every trace-driven VM and
+    every waiting VM (their fallback host can change). A VM is in the walk
+    exactly when it is not waiting; one whose key changed moves to its new
+    place, unless most of the walk is dirty, when one stable sort after
+    placement costs less. Delta-T is left to _predict_delta_t, which runs
+    only for the VMs awaiting placement."""
     dirty, traces = state.dirty_vms, state.traces
-    if state.waiting:
+    waiting = set(state.waiting)
+    if waiting:
         state.fallback_host = min(state.hosts,
                                   key=lambda h: (h.cpu_util, h.id))
-        dirty.update(state.waiting)
+        dirty.update(waiting)
     dirty.update(traces)
-    vm_key = utilization.sort_key(is_vm=True)
-    if 2 * len(dirty) > len(state.walk):
-        # Most of the walk may change key: one stable sort after placement
-        # costs less than moving each VM.
-        state.walk_keys = None
-    elif state.walk_keys is None:
-        # The walk is sorted by the keys its VMs hold until this loop.
-        state.walk_keys = [(*vm_key(vm), state.vm_index[vm.id])
-                           for vm in state.walk]
-        state.walk_key = {vm.id: k
-                          for vm, k in zip(state.walk, state.walk_keys)}
-    vms, walk, keys = state.vms, state.walk, state.walk_keys
-    walk_key, mark_host = state.walk_key, state.dirty_hosts.add
+    state.resort = 2 * len(dirty) > len(state.walk)
+    move = not state.resort
+    vm_key, index = utilization.sort_key(is_vm=True), state.vm_index
+    vms, walk, mark_host = state.vms, state.walk, state.dirty_hosts.add
     for vm_id in dirty:
         vm = vms[vm_id]
         spec = vm.spec
-        # A zero reservation reads exactly 0.0, so idle VMs (most of them on
-        # most steps) skip the divisions.
         trace = traces.get(vm_id)
         if trace is not None:
             # Trace-driven load: the replayed CPU percent at the clock,
             # cycling the trace past its end, stands in for the demand.
             resource = trace.samples[state.clock_s // trace.spacing_s
                                      % len(trace.samples)] / 100.0
-        elif vm.reserved_mips:
-            resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
         else:
-            resource = 0.0
+            resource = min(1.0, max(0.0, vm.reserved_mips / spec.mips))
         memory_pct = min(100.0, max(0.0, 100.0 * vm.reserved_ram_mb
-                                    / spec.ram_mb)) \
-            if vm.reserved_ram_mb else 0.0
+                                    / spec.ram_mb))
         network_pct = min(100.0, max(0.0, 100.0 * vm.reserved_bw_bps
-                                     / spec.bandwidth_bps)) \
-            if vm.reserved_bw_bps else 0.0
+                                     / spec.bandwidth_bps))
         util = vm.util
         if (resource != util.resource or memory_pct != util.memory_pct
                 or network_pct != util.network_pct):
@@ -220,29 +213,22 @@ def _refresh_vm_views(state):
             if vm.host_id:
                 mark_host(vm.host_id)
         # Waiting VMs are assessed at full demand; placed ones at their
-        # current reservation level. A zero share adds exactly 0.0 W
-        # (dynamic_power(u) - dynamic_power(u)), so it skips the power model.
+        # current reservation level.
         share = resource if vm.host_id else 1.0
-        if share:
-            host = _scoring_host(state, vm)
-            u_share = spec.mips * share / host.spec.total_mips
-            with_vm = energy.dynamic_power(
-                min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
-            vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
+        host = _scoring_host(state, vm)
+        u_share = spec.mips * share / host.spec.total_mips
+        with_vm = energy.dynamic_power(
+            min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
+        vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
+        key = vm_key(vm) + (index[vm_id],)
+        if move and key != vm.walk_key and vm_id not in waiting:
+            # The VM leaves the walk at its old key and rejoins at its new
+            # one; unique keys keep the walk sorted.
+            del walk[bisect.bisect_left(walk, vm.walk_key, key=WALK_KEY)]
+            vm.walk_key = key
+            bisect.insort(walk, vm, key=WALK_KEY)
         else:
-            vm.e_total_w = 0.0
-        old = walk_key.get(vm_id) if keys is not None else None
-        if old is not None:
-            new = (*vm_key(vm), old[-1])
-            if new != old:
-                # The VM leaves the walk at its old key and rejoins at its
-                # new one; unique keys keep the walk sorted.
-                at = bisect.bisect_left(keys, old)
-                del keys[at], walk[at]
-                at = bisect.bisect_left(keys, new)
-                keys.insert(at, new)
-                walk.insert(at, vm)
-                walk_key[vm_id] = new
+            vm.walk_key = key
     dirty.clear()
 
 
@@ -252,8 +238,9 @@ def _update_placed(state):
 
     The placed VMs and their means are rebuilt when the waiting list
     changed since the last rebuild. The walk is sorted afresh (a stable
-    sort of config order) then, or when the refresh found most of it
-    dirty; otherwise the refresh has moved each VM whose key changed.
+    sort of config order, which is ascending walk key) then, or when the
+    refresh found most of it dirty; otherwise the refresh has moved each
+    VM whose key changed.
     """
     if state.waiting != state.placed_for:
         waiting = set(state.waiting)
@@ -261,9 +248,21 @@ def _update_placed(state):
         state.placed = [vm for vm in state.vms.values()
                         if vm.id not in waiting]
         state.placed_means = utilization.vm_means(state.placed)
-        state.walk_keys = None
-    if state.walk_keys is None:
+        state.resort = True
+    if state.resort:
         state.walk = utilization.utilization_sort(state.placed, is_vm=True)
+        state.resort = False
+
+
+def _book(state, task, sign):
+    """Reserve (``sign`` 1.0) or release (-1.0) a task's MIPS, RAM and
+    bandwidth on its VM, and mark the VM and its host dirty."""
+    vm = state.vms[task.assigned_vm]
+    vm.reserved_mips += sign * task.mips_requested
+    vm.reserved_ram_mb += sign * task.ram_mb
+    vm.reserved_bw_bps += sign * bandwidth_need(task, state.cfg.interval_s)
+    state.dirty_vms.add(vm.id)
+    state.dirty_hosts.add(vm.host_id)
 
 
 def _predict_delta_t(state):
@@ -322,15 +321,10 @@ def step(state):
     if state.pending_tasks and state.walk:
         for task, vm_id in state.pending_tasks.take(
                 state.walk, state.placed_means, interval):
-            vm = state.vms[vm_id]
             task.assigned_vm = vm_id
             task.start_s = clock
-            vm.reserved_mips += task.mips_requested
-            vm.reserved_ram_mb += task.ram_mb
-            vm.reserved_bw_bps += bandwidth_need(task, interval)
+            _book(state, task, 1.0)
             state.running_tasks.append(task)
-            state.dirty_vms.add(vm_id)
-            state.dirty_hosts.add(vm.host_id)
 
     # 3. VM placement by the active policy
     _refresh_vm_views(state)
@@ -369,14 +363,12 @@ def step(state):
         busy = any(vms[v].reserved_mips > 0 for v in host.placed_vms)
         host.reserved_mips = sum(vms[v].reserved_mips
                                  for v in host.placed_vms)
-        inputs = (u, busy, bool(host.placed_vms))
-        if inputs != host.power_inputs:
-            host.power_inputs = inputs
-            active = energy.Activity(processor=inputs[2], storage=busy,
-                                     memory=busy, network=busy, extra=busy)
-            host.power_w = energy.host_power(host.spec.power, active,
-                                             host.spec.cores, u).total_w
-            host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
+        active = energy.Activity(processor=bool(host.placed_vms),
+                                 storage=busy, memory=busy, network=busy,
+                                 extra=busy)
+        host.power_w = energy.host_power(host.spec.power, active,
+                                         host.spec.cores, u).total_w
+        host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
     state.dirty_hosts.clear()
     for host in state.hosts:
         state.energy_j += host.power_w * interval
@@ -411,11 +403,7 @@ def step(state):
             pause = interval - usable_s
             task.finish_s = clock + pause + task.remaining_mi / granted
             task.remaining_mi = 0.0
-            vm.reserved_mips -= task.mips_requested
-            vm.reserved_ram_mb -= task.ram_mb
-            vm.reserved_bw_bps -= bandwidth_need(task, interval)
-            state.dirty_vms.add(task.assigned_vm)
-            state.dirty_hosts.add(vm.host_id)
+            _book(state, task, -1.0)
             state.completed_tasks.append(task)
             if check_sla(task, cfg.sla_slack):
                 state.sla_violations += 1

@@ -82,9 +82,10 @@ class HostState:
     """Runtime view of one physical machine.
 
     The engine builds each host with ``dynamic_w`` at utilization 0; its
-    power phase writes the fields after ``placed_vms``, for a host only
-    when its VM list or one of its VMs' loads changed, and the next step's
-    VM refresh reads ``cpu_util`` and ``dynamic_w``.
+    power phase writes ``cpu_util``, ``reserved_mips`` and both draws
+    together, for a host only when its VM list or one of its VMs' loads
+    changed, so ``dynamic_w`` is always the dynamic draw at ``cpu_util``.
+    The next step's VM refresh reads those two.
     """
 
     spec: HostSpec
@@ -93,7 +94,6 @@ class HostState:
     power_w: float = 0.0          # total draw (all seven leaves)
     dynamic_w: float = 0.0        # dynamic processor draw, feeds the RC model
     cpu_util: float = 0.0         # CPU utilization both draws were taken at
-    power_inputs: tuple | None = None  # (cpu_util, busy, has VMs) behind them
     reserved_mips: float = 0.0    # its VMs' reserved MIPS, shared out by MIPS
     temp_inputs: tuple | None = None   # (dynamic_w, start temperature) and
     temp_result_c: float = 0.0    # the result of the last temperature step
@@ -127,6 +127,7 @@ class VmState:
     thermal_class: ThermalClass = ThermalClass.UNCLASSIFIED
     delta_t_c: float | None = None  # predicted host temperature change
     e_total_w: float = 0.0          # VM's share of host power, sort key
+    walk_key: tuple | None = None   # mapper sort key + config index
     reserved_mips: float = 0.0
     reserved_ram_mb: float = 0.0
     reserved_bw_bps: float = 0.0

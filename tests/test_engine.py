@@ -409,6 +409,24 @@ def test_only_thermal_policies_evict_overheated_hosts(policy):
     assert evicted == policy.startswith("thermal")
 
 
+@pytest.mark.parametrize("policy, peak_c, svr, energy_kwh, migrations", (
+    ("fcfs", 53.49, 0.000, 50.105, 0),
+    ("utilization", 53.49, 0.000, 50.105, 0),
+    ("thermal", 67.18, 0.261, 50.168, 5950),
+    ("thermal+utilization", 67.18, 0.261, 50.168, 5950)))
+def test_churn_outcomes_per_policy(policy, peak_c, svr, energy_kwh,
+                                   migrations):
+    """Benchmark churn at seed 1 over 100 steps, as each policy leaves it:
+    the thermal policies evict whole hosts, run hotter than fcfs and
+    violate more SLAs. This pins today's behaviour, not the paper's claim."""
+    cfg = model.config_from_dict(dict(simulation_config("churn", seed=1),
+                                      horizon_s=100 * 300, policy=policy))
+    report = run_once(cfg)
+    assert (round(report.temp_max_c, 2), round(report.svr, 3),
+            round(report.total_energy_kwh, 3), report.migrations) == (
+        peak_c, svr, energy_kwh, migrations)
+
+
 # --- the backlog kept across steps ------------------------------------------
 
 def mixed_overload_config():
@@ -590,14 +608,16 @@ def test_engine_invariants_hold_after_every_step():
 # --- the per-step work done only for what changed ---------------------------
 
 def assert_incremental_state_matches_full_recompute(cfg, steps=None,
-                                                    tasks=()):
-    """Step ``cfg``, with ``tasks`` pending before the first step, and
-    check, at each step, every VM's view after the refresh, the walk order
-    after placement, and every host's power-phase figures and temperature,
-    against a recompute over every VM and host."""
+                                                    tasks=(), after_step=0):
+    """Step ``cfg``, with ``tasks`` pushed onto the backlog after
+    ``after_step`` steps, and check, at each step, every VM's view and walk
+    key after the refresh, the walk order after placement, and every
+    host's power-phase figures and temperature, against a recompute over
+    every VM and host."""
     from oracles import oracle_host_figures, oracle_vm_views
 
     refresh, update_placed = engine._refresh_vm_views, engine._update_placed
+    vm_key = utilization.sort_key(is_vm=True)
     want_hosts = {}
 
     def checked_refresh(state):
@@ -606,6 +626,7 @@ def assert_incremental_state_matches_full_recompute(cfg, steps=None,
             vm = state.vms[vm_id]
             assert (vm.util.resource, vm.util.memory_pct, vm.util.disk_pct,
                     vm.util.network_pct, vm.e_total_w) == (*util, e_total_w)
+            assert vm.walk_key == (*vm_key(vm), state.vm_index[vm_id])
 
     def recorded_update(state):
         # Runs at the end of placement, just before the power phase.
@@ -618,9 +639,10 @@ def assert_incremental_state_matches_full_recompute(cfg, steps=None,
         patch.setattr(engine, "_refresh_vm_views", checked_refresh)
         patch.setattr(engine, "_update_placed", recorded_update)
         state = SimulationState(cfg=cfg, seed=cfg.seed)
-        state.pending_tasks.extend(list(tasks))
-        state.tasks_generated = len(tasks)
-        for _ in range(cfg.step_count if steps is None else steps):
+        for index in range(cfg.step_count if steps is None else steps):
+            if index == after_step:
+                state.pending_tasks.extend(list(tasks))
+                state.tasks_generated += len(tasks)
             step(state)
             waiting = set(state.waiting)
             assert state.placed == [vm for vm in state.vms.values()
@@ -659,6 +681,26 @@ def quiet_step_configs():
              (Workload(id="t", length_mi=300000.0, mips_requested=500.0,
                        ram_mb=64.0),)),
             (validate_config(cooling), ())]
+
+
+def test_reservation_booking_marks_the_host(tmp_path):
+    """A task that changes no VM snapshot: its VM replays a constant trace,
+    and the task reserves no RAM and no bandwidth. Only the booking's host
+    mark brings the host's reserved MIPS and busy flag up to date, on
+    assignment and again on completion."""
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    (trace_dir / "flat.trace").write_text("50\n" * 10)
+    cfg = validate_config(DataCenterConfig(
+        hosts=(HostSpec(id="pm-0"),), vms=(VmSpec(id="vm-0", host_id="pm-0"),),
+        horizon_s=6 * 300, trace_dir=str(trace_dir),
+        workload=WorkloadGenConfig(lambda_per_interval=0.0)))
+    task = Workload(id="t", length_mi=45000.0, mips_requested=100.0,
+                    ram_mb=0.0, file_size_mb=0.0, output_size_mb=0.0,
+                    arrival_s=600)
+    assert_incremental_state_matches_full_recompute(cfg, tasks=(task,),
+                                                    after_step=2)
+    assert task.start_s == 600 and task.finish_s == 1050.0
 
 
 def test_incremental_state_matches_full_recompute(tmp_path):
