@@ -25,7 +25,7 @@ from .thermal import MODES, ThermalClass, ThermalParams
 
 @dataclass(frozen=True)
 class UtilizationSnapshot:
-    """Point-in-time utilization of one VM or host.
+    """Point-in-time utilization of one VM.
 
     ``resource`` is a fraction in [0, 1]; the other three are percents in
     [0, 100]. Units are fixed per field to match the formulas that produce

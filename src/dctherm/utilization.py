@@ -2,22 +2,23 @@
 
 The mapper sorts on utilization snapshots: each VM's reservation percents
 (the engine's refresh writes them) and each task's demand estimated
-against the VMs' spec means (``task_views``). Resource utilization is a
-fraction, the other three fields percents. The mapper is the greedy
-two-sort algorithm: tasks ascending by estimated demand, VMs descending by
-utilization (energy first), each task to the first VM that still fits it.
-``sort_key`` is the one ordering and ``map_workloads`` the one walk, over
-tasks and VMs already in that order: ``Backlog`` keeps the engine's
-pending tasks sorted and the engine keeps its placed VMs sorted, while a
+against the VMs' spec means (``task_views``), whose first four fields are
+that demand. Resource utilization is a fraction, the other three fields
+percents. The mapper is the greedy two-sort algorithm: tasks ascending by
+estimated demand, VMs descending by utilization (energy first), each task
+to the first VM that still fits it. ``sort_key`` is the one ordering and
+``map_workloads`` the one walk, over tasks and VMs already in that order:
+``Backlog`` keeps the engine's pending tasks sorted as one list of
+``TaskView`` records and the engine keeps its placed VMs sorted, while a
 standalone caller sorts ``task_views(tasks, vm_means(vms))`` and the VMs
 with ``utilization_sort``.
 """
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
-
-from .model import UtilizationSnapshot
+from typing import NamedTuple
 
 
 @dataclass
@@ -62,15 +63,27 @@ def utilization_sort(items, is_vm=False):
     return sorted(items, key=sort_key(is_vm))
 
 
-@dataclass(frozen=True)
-class TaskView:
-    """Sortable wrapper pairing a workload with its estimated demand."""
+class TaskView(NamedTuple):
+    """A workload with its estimated demand; the first four fields are
+    the demand snapshot and the task sort key (``TASK_KEY``)."""
 
+    resource: float
+    memory_pct: float
+    disk_pct: float
+    network_pct: float
     id: str
     mips_requested: float
     ram_mb: float
     bandwidth_bps_required: float
-    util: object
+    task: object
+
+    @property
+    def util(self):
+        """The demand snapshot: the view itself, read by ``sort_key()``."""
+        return self
+
+
+TASK_KEY = operator.itemgetter(slice(4))
 
 
 def vm_means(vms):
@@ -102,14 +115,13 @@ def task_views(workloads, means, interval_s=300):
     views = []
     for w in workloads:
         bw_need = bandwidth_need(w, interval_s)
-        util = UtilizationSnapshot(
-            resource=min(1.0, w.mips_requested / mean_mips),
-            memory_pct=min(100.0, 100.0 * w.ram_mb / mean_ram),
-            disk_pct=min(100.0, 100.0 * (w.file_size_mb + w.output_size_mb)
-                         / (10 * mean_ram)),
-            network_pct=min(100.0, 100.0 * bw_need / mean_bw),
-        )
-        views.append(TaskView(w.id, w.mips_requested, w.ram_mb, bw_need, util))
+        views.append(TaskView(
+            min(1.0, w.mips_requested / mean_mips),
+            min(100.0, 100.0 * w.ram_mb / mean_ram),
+            min(100.0, 100.0 * (w.file_size_mb + w.output_size_mb)
+                / (10 * mean_ram)),
+            min(100.0, 100.0 * bw_need / mean_bw),
+            w.id, w.mips_requested, w.ram_mb, bw_need, w))
     return views
 
 
@@ -146,7 +158,7 @@ def map_workloads(tasks, vms, mean_mips):
     debited = True
     hits = result.hits
     for position, task in enumerate(tasks):
-        if task.util.resource > limit:
+        if task.resource > limit:
             break
         ram, bw = task.ram_mb, task.bandwidth_bps_required
         if ram > most_ram or bw > most_bw:
@@ -184,76 +196,58 @@ def map_workloads(tasks, vms, mean_mips):
 class Backlog:
     """Tasks waiting for a VM, kept in the mapper's walk order across steps.
 
-    A task is viewed (``task_views``) against the spec means of the placed
-    VMs when it is first mapped, and keeps its view and sort key until
-    those means (or the interval) change; then every held task is viewed
-    again. New tasks wait in ``inbox`` until the next ``take``, which sorts
-    them and inserts each after every held task with an equal key: the
-    order a stable sort of the whole backlog, in arrival order, would give,
-    without sorting or viewing the held tasks again.
+    ``held`` is one list of ``TaskView`` records in walk order, ``inbox``
+    the tasks not yet viewed and ``tasks`` every pending task by ``id()``,
+    in arrival order. A task is viewed (``task_views``) against the spec
+    means of the placed VMs when it is first mapped, and keeps its view
+    until those means (or the interval) change; then every pending task is
+    viewed again. New tasks wait in ``inbox`` until the next ``take``,
+    which sorts their views stably and inserts each after every held view
+    with an equal key: the order a stable sort of the whole backlog, in
+    arrival order, would give, without sorting or viewing the held tasks
+    again.
     """
 
     def __init__(self):
-        self.inbox = []    # (arrival number, task), not yet viewed
-        self.held = []     # (*sort key, arrival number, task), ascending
-        self.views = []    # the held tasks' TaskViews, same order
+        self.inbox = []    # tasks not yet viewed, in arrival order
+        self.held = []     # TaskViews, ascending by TASK_KEY
+        self.tasks = {}    # id(task): task, in arrival order
         self.basis = None  # (VM spec means, interval) of the held views
-        self.arrivals = 0
 
     def __len__(self):
-        return len(self.held) + len(self.inbox)
+        return len(self.tasks)
 
     def __iter__(self):
         """Tasks in arrival order."""
-        return iter([task for _, task in self._in_arrival_order()])
-
-    def _in_arrival_order(self):
-        held = sorted(entry[-2:] for entry in self.held)
-        return held + self.inbox
+        return iter(self.tasks.values())
 
     def extend(self, tasks):
-        self.inbox += enumerate(tasks, self.arrivals)
-        self.arrivals += len(tasks)
+        """Add newly arrived tasks. Each task object is held once: passing
+        one that is already pending is not supported."""
+        self.inbox += tasks
+        self.tasks.update((id(task), task) for task in tasks)
 
     def take(self, vms, means, interval_s):
         """Map the backlog onto ``vms``, in walk order (whose spec means are
         ``means``), and remove the tasks placed; returns (task, vm id) pairs
         in walk order."""
+        held = self.held
         if (means, interval_s) != self.basis:
             self.basis = (means, interval_s)
-            self.inbox = self._in_arrival_order()
-            self.held, self.views = [], []
+            self.inbox = list(self.tasks.values())
+            held.clear()
         if self.inbox:
-            self._insert_inbox(means, interval_s)
-        hits = map_workloads(self.views, vms, means[0]).hits
-        placed = [(self.held[i][-1], vm_id) for i, vm_id in hits]
+            views = sorted(task_views(self.inbox, means, interval_s),
+                           key=TASK_KEY)
+            self.inbox = []
+            # Last first: each search stops where the view after it went
+            # in, so it sees only views held before this take.
+            hi = len(held)
+            for view in reversed(views):
+                hi = bisect.bisect_right(held, view[:4], 0, hi, key=TASK_KEY)
+                held.insert(hi, view)
+        hits = map_workloads(held, vms, means[0]).hits
+        placed = [(held[i].task, vm_id) for i, vm_id in hits]
         for i, _ in reversed(hits):
-            del self.held[i], self.views[i]
+            del self.tasks[id(held.pop(i).task)]
         return placed
-
-    def _insert_inbox(self, means, interval_s):
-        views = task_views([task for _, task in self.inbox], means, interval_s)
-        key = sort_key()
-        # Flat tuples sort faster than nested ones. Arrival numbers are unique
-        # and new ones exceed every held one: each new entry follows its ties.
-        entries = sorted((*key(view), number, task, view)
-                         for (number, task), view in zip(self.inbox, views))
-        self.inbox = []
-        points, lo = [], 0
-        for entry in entries:
-            lo = bisect.bisect_right(self.held, entry, lo)
-            points.append(lo)
-        self.held = _spliced(self.held, points, [e[:-1] for e in entries])
-        self.views = _spliced(self.views, points, [e[-1] for e in entries])
-
-
-def _spliced(old, points, items):
-    """``old`` with each of ``items`` put before ``old[points[i]]``;
-    ``points`` ascend. One copy of ``old``, not one per item."""
-    out, prev = [], 0
-    for at, item in zip(points, items):
-        out += old[prev:at]
-        out.append(item)
-        prev = at
-    out += old[prev:]
-    return out

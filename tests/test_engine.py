@@ -452,7 +452,9 @@ def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
         monkeypatch):
     """Each step the engine places what first-fit over the whole backlog,
     viewed afresh, would place; yet each task is viewed only once while the
-    placed VMs' spec means stay the same (one epoch)."""
+    placed VMs' spec means stay the same (one epoch). After every step the
+    held views are in walk order, and they and the inbox hold each pending
+    task once."""
     from oracles import oracle_map
 
     cfg = mixed_overload_config()
@@ -499,6 +501,13 @@ def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
         views = task_views(pending + arrivals, means, cfg.interval_s)
         want, _ = oracle_map(views, placed)
         assert [(task.id, vm_id) for task, vm_id in taken] == want
+        backlog = state.pending_tasks
+        keys = [utilization.TASK_KEY(view) for view in backlog.held]
+        assert keys == sorted(keys)
+        ids = sorted(id(task) for task in
+                     [view.task for view in backlog.held] + backlog.inbox)
+        assert ids == sorted({id(task) for task in backlog})
+        assert len(backlog) == len(ids)
     assert rebuilds >= 10 and len(state.pending_tasks) >= 50
     assert set(viewed.values()) == {1}
 

@@ -1,8 +1,8 @@
 import numpy as np
 
 from dctherm.model import UtilizationSnapshot, VmSpec, VmState, Workload
-from dctherm.utilization import (map_workloads, task_views, utilization_sort,
-                                 vm_means)
+from dctherm.utilization import (TASK_KEY, map_workloads, task_views,
+                                 utilization_sort, vm_means)
 
 
 def make_vm(idx, mips=500, ram=1024, resource=0.0, mem=0.0, disk=0.0, net=0.0,
@@ -141,6 +141,8 @@ def test_map_lighter_task_lands_on_busier_vm():
 def test_oracle_sort_agrees_with_library_sort():
     from oracles import oracle_sort
     rng = np.random.default_rng(88)
+    # Its own stream, so the VM inputs stay those drawn from ``rng``.
+    task_rng = np.random.default_rng(89)
     for _ in range(100):
         items = [make_vm(i, resource=float(rng.choice([0.2, 0.5])),
                          mem=float(rng.choice([10.0, 40.0])),
@@ -152,6 +154,18 @@ def test_oracle_sort_agrees_with_library_sort():
         for is_vm in (False, True):
             assert utilization_sort(items, is_vm) \
                 == oracle_sort(items, is_vm, decreasing=is_vm)
+        # Task views of tied tasks: TASK_KEY, the views' leading fields,
+        # orders them as the mapper's key and the oracle do.
+        pick = task_rng.choice
+        tasks = [Workload(id=f"t-{i}", length_mi=1000.0,
+                          mips_requested=float(pick([100.0, 250.0])),
+                          ram_mb=float(pick([256.0, 512.0])),
+                          file_size_mb=float(pick([1.0, 4.0])),
+                          output_size_mb=float(pick([1.0, 9.0])))
+                 for i in range(int(task_rng.integers(0, 8)))]
+        views = task_views(tasks, (500.0, 1024.0, 1e8))
+        assert sorted(views, key=TASK_KEY) == utilization_sort(views) \
+            == oracle_sort(views, False, decreasing=False)
 
 
 def assert_walk_matches_oracle(tasks, vms):
