@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, train-predictor, predict, gen-workload, report.
-Exit codes: 0 success, 2 configuration error, 3 io/parse error, 4 numeric
-failure.
+Exit codes: 0 success, 2 configuration error, 3 io/parse error or any
+other OSError, 4 numeric failure.
 """
 
 import argparse
@@ -175,7 +175,7 @@ def main(argv=None):
     except (InvalidConfig, UnknownPolicy) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IoError, ParseError) as exc:
+    except (IoError, ParseError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NonFiniteLoss, DomainError) as exc:

@@ -52,7 +52,8 @@ from . import energy, scheduler, thermal, utilization
 from .errors import DomainError, IoError
 from .model import (HostState, UtilizationSnapshot, VmState, config_digest,
                     derive_lambda, validate_config)
-from .traceio import generate_workloads, load_planetlab_trace, poisson_arrivals
+from .traceio import (SUMMARY_FIELDS, generate_workloads, load_planetlab_trace,
+                      poisson_arrivals)
 from .utilization import Backlog, bandwidth_need
 
 STREAM_ARRIVALS = 0
@@ -443,9 +444,7 @@ class SimulationReport:
     events: list = field(default_factory=list)
     replicate_rows: list = field(default_factory=list)
 
-    SUMMARY_FIELDS = ("seed", "total_energy_kwh", "svr", "migrations",
-                      "sla_violations", "tasks_generated", "tasks_completed",
-                      "temp_mean_c", "temp_max_c")
+    SUMMARY_FIELDS = SUMMARY_FIELDS   # summary.csv after its label column
 
     def summary_row(self):
         return tuple(getattr(self, name) for name in self.SUMMARY_FIELDS)

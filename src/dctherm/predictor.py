@@ -150,7 +150,8 @@ def synthesize_telemetry(n_servers, records_per_server, rng,
 def sliding_windows(records, window=8):
     """Group records by server (input order preserved) and cut overlapping
     windows of the given length. Each window is one training sample whose
-    target is the last row's temperature."""
+    target is the last row's temperature. Raises ParseError when no server
+    has ``window`` records: the telemetry is too short to use."""
     by_server = {}
     for rec in records:
         by_server.setdefault(rec.server_id, []).append(rec)
@@ -158,6 +159,8 @@ def sliding_windows(records, window=8):
     for server_records in by_server.values():
         for i in range(len(server_records) - window + 1):
             sequences.append(tuple(server_records[i:i + window]))
+    if not sequences:
+        raise ParseError(f"need at least {window} records per server")
     return sequences
 
 
@@ -270,10 +273,7 @@ def predict_records(model, records, window=8):
     if model.layers[0].input_size != N_FEATURES:
         raise ParseError(f"model takes {model.layers[0].input_size} features, "
                          f"telemetry has {N_FEATURES}")
-    sequences = sliding_windows(records, window)
-    if not sequences:
-        raise EmptyDataset(f"need at least {window} records per server")
-    x, y = sequences_to_arrays(sequences)
+    x, y = sequences_to_arrays(sliding_windows(records, window))
     return model.predict_batch(x), y
 
 

@@ -1,10 +1,14 @@
 """Trace ingestion, workload synthesis and report files.
 
 Loaders are total over their documented formats: a file either parses
-fully or raises a positioned error. Report CSVs use '.' decimals, LF line
-endings and UTF-8 so equal runs produce byte-identical files. Their rows
-hold only ints, strings and builtin floats, written with ``str``, which
-for a float is its shortest round-trip text (its ``repr``).
+fully or raises a positioned error. Every CSV file is written by one
+writer, ``_write_csv``, and every CSV file read back goes through one
+checked reader, ``_csv_rows``, which rejects a header other than the
+file's documented columns and a row of another width. Report CSVs use
+'.' decimals, LF line endings and UTF-8 so equal runs produce
+byte-identical files. Their rows hold only ints, strings and builtin
+floats, written with ``str``, which for a float is its shortest
+round-trip text (its ``repr``).
 """
 
 import csv
@@ -23,6 +27,10 @@ log = logging.getLogger(__name__)
 
 TOOL_VERSION = "0.1.0"
 
+SUMMARY_FIELDS = ("seed", "total_energy_kwh", "svr", "migrations",
+                  "sla_violations", "tasks_generated", "tasks_completed",
+                  "temp_mean_c", "temp_max_c")
+SUMMARY_HEADER = ("label", *SUMMARY_FIELDS)
 PER_STEP_HEADER = ("step", "clock_s", "host_id", "temp_c", "power_w",
                    "energy_j_cum", "migrations_cum", "svr_cum")
 WORKLOAD_HEADER = ("id", "arrival_s", "length_mi", "mips_requested",
@@ -58,6 +66,36 @@ def _read_text(path, what):
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} {path} is not UTF-8: {exc}") from None
+
+
+def _csv_rows(path, what, columns):
+    """Yield ``(line_no, fields)`` for each non-blank row of a CSV file read
+    through ``_read_text``. Raises SchemaError unless the header, cells
+    stripped, is ``columns``, and ParseError on a row of another width or
+    one the csv module rejects."""
+    reader = csv.reader(io.StringIO(_read_text(path, what), newline=""))
+    try:
+        header = [cell.strip() for cell in next(reader, ())]
+        if tuple(header) != columns:
+            raise SchemaError(f"{what} header {header} does not match "
+                              f"{list(columns)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise ParseError(f"expected {len(columns)} fields, "
+                                 f"got {len(row)}", line_no=line_no)
+            yield line_no, row
+    except csv.Error as exc:
+        raise ParseError(f"{what} {path}: {exc}", line_no=reader.line_num) from None
+
+
+def _write_csv(path, header, rows):
+    """Write the header line, then each row's values joined with ``str``,
+    in UTF-8 with LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def load_planetlab_trace(path):
@@ -99,22 +137,9 @@ def _timestamp_key(text):
 def load_telemetry_csv(path):
     """Read a telemetry CSV with the exact documented header; returns its
     TelemetryRecords in file order, time-ordered within each server."""
-    reader = csv.reader(io.StringIO(_read_text(path, "telemetry"), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("telemetry file is empty") from None
-    if tuple(h.strip() for h in header) != CSV_COLUMNS:
-        raise SchemaError(
-            f"header {header} does not match {list(CSV_COLUMNS)}")
     records = []
     last_ts = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ParseError(f"expected {len(CSV_COLUMNS)} fields, "
-                             f"got {len(row)}", line_no=row_no)
+    for row_no, row in _csv_rows(path, "telemetry", CSV_COLUMNS):
         try:
             fans = tuple(float(v) for v in row[2:7])
             cpu_temp_c = float(row[11])
@@ -142,13 +167,10 @@ def load_telemetry_csv(path):
 
 
 def save_telemetry_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fields = (rec.server_id, rec.timestamp, *rec.fan_rpm,
-                      rec.system_pct, rec.memory_pct, rec.cpu_pct,
-                      rec.io_pct, rec.cpu_temp_c)
-            fh.write(",".join(map(str, fields)) + "\n")
+    _write_csv(path, CSV_COLUMNS, (
+        (rec.server_id, rec.timestamp, *rec.fan_rpm, rec.system_pct,
+         rec.memory_pct, rec.cpu_pct, rec.io_pct, rec.cpu_temp_c)
+        for rec in records))
 
 
 def generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
@@ -225,12 +247,10 @@ def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
 
 
 def write_workloads_csv(workloads, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(WORKLOAD_HEADER) + "\n")
-        for w in workloads:
-            fh.write(",".join(map(str, (
-                w.id, w.arrival_s, w.length_mi, w.mips_requested,
-                w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd))) + "\n")
+    _write_csv(path, WORKLOAD_HEADER, (
+        (w.id, w.arrival_s, w.length_mi, w.mips_requested, w.file_size_mb,
+         w.output_size_mb, w.ram_mb, w.cost_cd)
+        for w in workloads))
 
 
 def write_report(report, out_dir):
@@ -241,16 +261,11 @@ def write_report(report, out_dir):
         per_step_path = os.path.join(out_dir, "per_step.csv")
         manifest_path = os.path.join(out_dir, "manifest.json")
         rows = report.replicate_rows or [report.summary_row()]
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("label," + ",".join(report.SUMMARY_FIELDS) + "\n")
-            n_replicates = len(rows) if len(rows) == 1 else len(rows) - 1
-            for i, row in enumerate(rows):
-                label = f"replicate-{i}" if i < n_replicates else "mean"
-                fh.write(label + "," + ",".join(map(str, row)) + "\n")
-        with open(per_step_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(PER_STEP_HEADER) + "\n")
-            fh.writelines(",".join(map(str, row)) + "\n"
-                          for row in report.per_step_rows)
+        n_replicates = len(rows) if len(rows) == 1 else len(rows) - 1
+        _write_csv(summary_path, SUMMARY_HEADER, (
+            (f"replicate-{i}" if i < n_replicates else "mean", *row)
+            for i, row in enumerate(rows)))
+        _write_csv(per_step_path, PER_STEP_HEADER, report.per_step_rows)
         manifest = {
             "config_digest": report.config_digest,
             "lambda_per_interval": report.lambda_per_interval,
@@ -268,17 +283,13 @@ def write_report(report, out_dir):
 
 def read_summary_csv(path):
     """Summary rows back as {label: {field: float}} mappings."""
-    reader = csv.DictReader(io.StringIO(_read_text(path, "summary"),
-                                        newline=""))
     out = {}
-    for row in reader:
-        label = row.pop("label", None)
+    for line_no, row in _csv_rows(path, "summary", SUMMARY_HEADER):
         try:
-            # A short row holds None, a long one a list under key None.
-            out[label] = {k: float(v) for k, v in row.items()}
-        except (TypeError, ValueError) as exc:
+            out[row[0]] = dict(zip(SUMMARY_FIELDS, map(float, row[1:])))
+        except ValueError as exc:
             raise ParseError(f"summary field not a number: {exc}",
-                             line_no=reader.line_num) from None
+                             line_no=line_no) from None
     return out
 
 
@@ -287,22 +298,11 @@ def summarize_per_step(path):
 
     SVR is not among them: the file's svr_cum counts finished tasks only,
     while the run's SVR (summary.csv) also counts unfinished ones."""
-    reader = csv.reader(io.StringIO(_read_text(path, "per-step file"),
-                                    newline=""))
-    header = tuple(next(reader, ()))
-    if header != PER_STEP_HEADER:
-        raise SchemaError(f"header {list(header)} does not match "
-                          f"{list(PER_STEP_HEADER)}")
     temps = {}
     energy_j = 0.0
     migrations = 0
     steps = 0
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(PER_STEP_HEADER):
-            raise ParseError(f"expected {len(PER_STEP_HEADER)} fields, "
-                             f"got {len(row)}", line_no=row_no)
+    for row_no, row in _csv_rows(path, "per-step file", PER_STEP_HEADER):
         try:
             step = int(row[0])
             temps.setdefault(row[2], []).append(float(row[3]))

@@ -188,7 +188,26 @@ NOT_UTF8 = b"\xff\xfe\xfa"
 
 
 def _unreadable_inputs(tmp_path, case):
-    """argv for one CLI command given a text input it cannot parse."""
+    """argv for one CLI command given an input it cannot read or parse, or
+    an output path it cannot write."""
+    missing_dir = tmp_path / "missing-dir"
+    sample = traceio.sample_telemetry_path()
+    model = Path(__file__).parent / "data" / "model_v1.bin"
+    if case == "predict-missing-model":
+        return ["predict", "--model", str(tmp_path / "missing.bin"),
+                "--data", sample]
+    if case == "gen-workload-missing-dir":
+        return ["gen-workload", "--count", "5",
+                "--out", str(missing_dir / "w.csv")]
+    if case == "train-predictor-missing-dir":
+        return ["train-predictor", "--synthetic", "20", "--epochs", "1",
+                "--out", str(missing_dir / "m.bin")]
+    # The shipped sample holds one record for each of six servers.
+    if case == "predict-too-short-telemetry":
+        return ["predict", "--model", str(model), "--data", sample]
+    if case == "train-predictor-too-short-telemetry":
+        return ["train-predictor", "--data", sample,
+                "--out", str(tmp_path / "model.bin")]
     telemetry = tmp_path / "telemetry.csv"
     telemetry.write_bytes(",".join(traceio.CSV_COLUMNS).encode() + b"\n"
                           + NOT_UTF8 + b"\n")
@@ -196,7 +215,6 @@ def _unreadable_inputs(tmp_path, case):
         return ["train-predictor", "--data", str(telemetry),
                 "--out", str(tmp_path / "model.bin")]
     if case == "predict":
-        model = Path(__file__).parent / "data" / "model_v1.bin"
         return ["predict", "--model", str(model), "--data", str(telemetry)]
     if case == "simulate":
         trace_dir = tmp_path / "traces"
@@ -207,10 +225,14 @@ def _unreadable_inputs(tmp_path, case):
     run_dir = tmp_path / "run"
     assert cli.main(["simulate", "--config", str(write_config(tmp_path)),
                      "--out", str(run_dir)]) == 0
+    if case == "report-summary-without-svr":
+        (run_dir / "summary.csv").write_text("label,seed\nreplicate-0,2\n")
+        return ["report", "--in", str(run_dir)]
     name, damage = {
         "report-summary-not-utf8": ("summary.csv", NOT_UTF8),
         "report-per-step-not-utf8": ("per_step.csv", NOT_UTF8),
         "report-summary-not-a-number": ("summary.csv", b"x"),
+        "report-summary-extra-field": ("summary.csv", b"0.5,0.5"),
     }[case]
     path = run_dir / name
     text = path.read_bytes()
@@ -221,12 +243,28 @@ def _unreadable_inputs(tmp_path, case):
     return ["report", "--in", str(run_dir)]
 
 
+# What stderr must say, where the exit code alone would not tell the
+# failure apart from an earlier one.
+UNREADABLE_MESSAGES = {
+    "predict-too-short-telemetry": "need at least 8 records per server",
+    "train-predictor-too-short-telemetry": "need at least 8 records per server",
+    "report-summary-without-svr": "summary header",
+    "report-summary-extra-field": "expected 10 fields, got 11",
+}
+
+
 @pytest.mark.parametrize("case", [
     "train-predictor", "predict", "simulate", "report-summary-not-utf8",
-    "report-per-step-not-utf8", "report-summary-not-a-number"])
+    "report-per-step-not-utf8", "report-summary-not-a-number",
+    "report-summary-without-svr", "report-summary-extra-field",
+    "predict-missing-model", "gen-workload-missing-dir",
+    "train-predictor-missing-dir", "predict-too-short-telemetry",
+    "train-predictor-too-short-telemetry"])
 def test_unreadable_text_input_exit_3_without_traceback(tmp_path, capsys,
                                                         case):
-    # Each once leaked a UnicodeDecodeError or ValueError traceback (exit 1).
+    # Each once leaked a UnicodeDecodeError, ValueError, KeyError or
+    # FileNotFoundError traceback (exit 1), or, for too-short telemetry,
+    # exited 4 (predict) or 2 blaming --test-count (train-predictor).
     argv = _unreadable_inputs(tmp_path, case)
     capsys.readouterr()
     env = dict(os.environ)
@@ -238,6 +276,20 @@ def test_unreadable_text_input_exit_3_without_traceback(tmp_path, capsys,
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith("io error:")
     assert "Traceback" not in result.stderr
+    assert UNREADABLE_MESSAGES.get(case, "") in result.stderr
+
+
+def test_train_on_telemetry_with_too_few_windows_for_test_count_exit_2(
+        tmp_path, capsys):
+    # Eight records of one server cut one window, which leaves none to
+    # train on once the default held-out window is taken.
+    data_path = tmp_path / "telemetry.csv"
+    traceio.save_telemetry_csv(
+        predictor.synthesize_telemetry(1, 8, np.random.default_rng(4)),
+        data_path)
+    assert cli.main(["train-predictor", "--data", str(data_path),
+                     "--out", str(tmp_path / "m.bin")]) == 2
+    assert "test_count" in capsys.readouterr().err
 
 
 def test_simulate_arrival_rate_above_bound_exit_2(tmp_path, capsys):

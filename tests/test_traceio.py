@@ -212,6 +212,14 @@ def test_report_byte_identical_across_runs(tmp_path):
 
 
 def test_write_report_unwritable_dir(tmp_path):
+    # A directory cannot be made below a regular file, whoever runs this.
+    regular = tmp_path / "file"
+    regular.write_text("")
+    with pytest.raises(IoError):
+        traceio.write_report(run_small(), regular / "out")
+
+
+def test_write_report_read_only_dir(tmp_path):
     target = tmp_path / "locked"
     target.mkdir()
     os.chmod(target, stat.S_IREAD | stat.S_IEXEC)
@@ -227,6 +235,23 @@ def test_summarize_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(SchemaError):
         traceio.summarize_per_step(path)
+
+
+def test_read_summary_rejects_foreign_header(tmp_path):
+    # Once read by csv.DictReader, which left report a KeyError on 'svr'.
+    path = tmp_path / "summary.csv"
+    path.write_text("label,foo\nreplicate-0,1\n")
+    with pytest.raises(SchemaError):
+        traceio.read_summary_csv(path)
+
+
+def test_csv_field_over_the_csv_limit_is_a_parse_error(tmp_path):
+    # Once a csv.Error traceback ("field larger than field limit").
+    path = tmp_path / "telemetry.csv"
+    path.write_text(",".join(traceio.CSV_COLUMNS) + "\n"
+                    + "x" * 200_000 + "\n")
+    with pytest.raises(ParseError, match="field limit"):
+        traceio.load_telemetry_csv(path)
 
 
 def test_workload_csv(tmp_path):
