@@ -115,7 +115,20 @@ def _windows_from_args(args):
     return predictor.interleaved_split(windows, n_test)
 
 
+def _check_out_path(path):
+    """Raise IoError unless a file can be written at ``path``: checked
+    before a long run, so a bad --out fails at once rather than after."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise IoError(f"cannot write {path}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise IoError(f"cannot write {path}: {directory} is not writable")
+    if os.path.isdir(path):
+        raise IoError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_train(args):
+    _check_out_path(args.out)
     train_seqs, test_seqs = _windows_from_args(args)
     settings = predictor.TrainSettings(epochs=args.epochs, seed=args.seed)
     model, report = predictor.train_predictor(train_seqs, settings,

@@ -291,18 +291,26 @@ def validate_config(cfg):
     if len(set(vm_ids)) != len(vm_ids):
         raise InvalidConfig("vms", "duplicate vm ids")
 
-    by_host = {h.id: 0.0 for h in cfg.hosts}
+    # The initial placement must fit as the scheduler's _fits would have
+    # it: in MIPS and in RAM.
+    mips = {h.id: 0.0 for h in cfg.hosts}
+    ram = dict(mips)
     for vm in cfg.vms:
         if vm.host_id is None:
             continue
-        if vm.host_id not in by_host:
+        if vm.host_id not in mips:
             raise InvalidConfig("vms", f"vm {vm.id} references unknown host {vm.host_id}")
-        by_host[vm.host_id] += vm.mips
+        mips[vm.host_id] += vm.mips
+        ram[vm.host_id] += vm.ram_mb
     for host in cfg.hosts:
-        if by_host[host.id] > host.total_mips:
+        if mips[host.id] > host.total_mips:
             raise InvalidConfig(
                 "vms", f"host {host.id} over-committed: "
-                       f"{by_host[host.id]} MIPS reserved > {host.total_mips}")
+                       f"{mips[host.id]} MIPS reserved > {host.total_mips}")
+        if ram[host.id] > host.ram_mb:
+            raise InvalidConfig(
+                "vms", f"host {host.id} over-committed: "
+                       f"{ram[host.id]} MB of RAM reserved > {host.ram_mb}")
     return cfg
 
 
@@ -384,11 +392,15 @@ def config_from_dict(data):
 
 
 def _to_json(value):
+    # Leaves first: they are most of a config's values, and
+    # is_dataclass is the slowest of the three tests.
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     if dataclasses.is_dataclass(value):
         return {name: _to_json(getattr(value, name))
                 for name in _schema(type(value))}
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
     return value
 
 

@@ -7,8 +7,10 @@ checked reader, ``_csv_rows``, which rejects a header other than the
 file's documented columns and a row of another width. Report CSVs use
 '.' decimals, LF line endings and UTF-8 so equal runs produce
 byte-identical files. Their rows hold only ints, strings and builtin
-floats, written with ``str``, which for a float is its shortest
-round-trip text (its ``repr``).
+floats, each row written as ``_csv_line`` prints it: its values' ``str``
+(for a float, its shortest round-trip text, its ``repr``) joined by
+commas. per_step.csv's lines come from ``_per_step_lines``, which prints
+the same bytes at a fraction of the cost.
 """
 
 import csv
@@ -90,12 +92,48 @@ def _csv_rows(path, what, columns):
         raise ParseError(f"{what} {path}: {exc}", line_no=reader.line_num) from None
 
 
-def _write_csv(path, header, rows):
-    """Write the header line, then each row's values joined with ``str``,
-    in UTF-8 with LF endings."""
+def _csv_line(row):
+    """One CSV line: the row's values printed with ``str``, joined by
+    commas, ending in LF."""
+    return ",".join(map(str, row)) + "\n"
+
+
+def _write_csv(path, header, lines):
+    """Write the header line, then ``lines`` (an iterable of ``_csv_line``
+    texts, streamed rather than joined), in UTF-8 with LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
+
+
+def _per_step_lines(rows):
+    """Yield ``_csv_line(row)`` for each per-step row, formatting less.
+
+    A step's rows share their step, clock, energy, migrations and SVR
+    objects, and a host whose temperature step was cached repeats its last
+    temperature and power objects. So the step-wide texts are printed once
+    per step and a host's ``host_id,temp_c,power_w`` text is reused while
+    its three values are the very objects it was printed from. Identity,
+    not equality: the same object always prints the same text, while equal
+    values need not (``0.0`` and ``-0.0``). An f-string prints a builtin
+    int, float or str as ``str`` does."""
+    unset = object()
+    step_ = clock_ = energy_ = migrations_ = svr_ = unset
+    head = tail = ""
+    host_texts = {}     # host_id -> (host_id, temp_c, power_w, text)
+    for step, clock, host_id, temp, power, energy, migrations, svr in rows:
+        if not (step is step_ and clock is clock_ and energy is energy_
+                and migrations is migrations_ and svr is svr_):
+            step_, clock_, energy_, migrations_, svr_ = \
+                step, clock, energy, migrations, svr
+            head = f"{step},{clock},"
+            tail = f",{energy},{migrations},{svr}\n"
+        last = host_texts.get(host_id)
+        if last is None or not (last[0] is host_id and last[1] is temp
+                                and last[2] is power):
+            last = host_texts[host_id] = (
+                host_id, temp, power, f"{host_id},{temp},{power}")
+        yield head + last[3] + tail
 
 
 def load_planetlab_trace(path):
@@ -168,8 +206,9 @@ def load_telemetry_csv(path):
 
 def save_telemetry_csv(records, path):
     _write_csv(path, CSV_COLUMNS, (
-        (rec.server_id, rec.timestamp, *rec.fan_rpm, rec.system_pct,
-         rec.memory_pct, rec.cpu_pct, rec.io_pct, rec.cpu_temp_c)
+        _csv_line((rec.server_id, rec.timestamp, *rec.fan_rpm,
+                   rec.system_pct, rec.memory_pct, rec.cpu_pct, rec.io_pct,
+                   rec.cpu_temp_c))
         for rec in records))
 
 
@@ -248,8 +287,8 @@ def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
 
 def write_workloads_csv(workloads, path):
     _write_csv(path, WORKLOAD_HEADER, (
-        (w.id, w.arrival_s, w.length_mi, w.mips_requested, w.file_size_mb,
-         w.output_size_mb, w.ram_mb, w.cost_cd)
+        _csv_line((w.id, w.arrival_s, w.length_mi, w.mips_requested,
+                   w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd))
         for w in workloads))
 
 
@@ -263,9 +302,11 @@ def write_report(report, out_dir):
         rows = report.replicate_rows or [report.summary_row()]
         n_replicates = len(rows) if len(rows) == 1 else len(rows) - 1
         _write_csv(summary_path, SUMMARY_HEADER, (
-            (f"replicate-{i}" if i < n_replicates else "mean", *row)
+            _csv_line((f"replicate-{i}" if i < n_replicates else "mean",
+                       *row))
             for i, row in enumerate(rows)))
-        _write_csv(per_step_path, PER_STEP_HEADER, report.per_step_rows)
+        _write_csv(per_step_path, PER_STEP_HEADER,
+                   _per_step_lines(report.per_step_rows))
         manifest = {
             "config_digest": report.config_digest,
             "lambda_per_interval": report.lambda_per_interval,

@@ -119,6 +119,22 @@ def test_train_predict_cycle(tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("case", ["missing-dir", "out-is-a-dir"])
+def test_train_unwritable_out_exit_3_before_training(tmp_path, capsys,
+                                                     monkeypatch, case):
+    # save_model once ran only after training, so a bad --out cost the
+    # whole run before it exited 3.
+    def no_work(*args, **kwargs):
+        raise AssertionError("windows drawn or trained before --out was checked")
+
+    monkeypatch.setattr(predictor, "synthesize_windows", no_work)
+    monkeypatch.setattr(predictor, "train_predictor", no_work)
+    out = tmp_path / "missing" / "m.bin" if case == "missing-dir" else tmp_path
+    assert cli.main(["train-predictor", "--synthetic", "20",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("io error: cannot write")
+
+
 def test_predict_garbage_model_exit_3(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"nope")

@@ -58,6 +58,21 @@ def test_initial_overcommit_rejected():
         model.validate_config(model.DataCenterConfig(hosts=hosts, vms=vms))
 
 
+def test_initial_ram_overcommit_rejected():
+    # Once accepted: the run started with a negative RAM residual the
+    # scheduler's _fits never allows, so the host could not take a VM back.
+    hosts = (model.HostSpec(id="pm-0", ram_mb=1024.0),)
+    vms = tuple(model.VmSpec(id=f"vm-{i}", ram_mb=768.0, host_id="pm-0")
+                for i in range(2))
+    with pytest.raises(InvalidConfig, match="host pm-0 over-committed.*RAM"):
+        model.validate_config(model.DataCenterConfig(hosts=hosts, vms=vms))
+    # Filled exactly to its RAM is allowed.
+    model.validate_config(model.DataCenterConfig(
+        hosts=hosts, vms=tuple(model.VmSpec(id=f"vm-{i}", ram_mb=512.0,
+                                            host_id="pm-0")
+                               for i in range(2))))
+
+
 def test_utilization_snapshot_ranges():
     model.UtilizationSnapshot(resource=1.0, memory_pct=100.0)
     with pytest.raises(InvalidConfig):

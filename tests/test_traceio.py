@@ -230,6 +230,76 @@ def test_write_report_read_only_dir(tmp_path):
     os.chmod(target, stat.S_IRWXU)
 
 
+# --- per_step.csv lines ------------------------------------------------------
+# The oracle is the plain form every other CSV uses: each value's str,
+# joined by commas.
+
+def plain_lines(rows):
+    return [",".join(map(str, row)) + "\n" for row in rows]
+
+
+def test_per_step_lines_match_plain_lines_on_golden_runs(tmp_path):
+    from test_golden import (MODES, POLICIES, churn_config, matrix_config,
+                             stress_state, write_traces)
+    trace_dir = write_traces(tmp_path)
+    runs = [stress_state().per_step_rows]
+    for policy in POLICIES:
+        for mode in MODES:
+            runs += [engine.run_once(matrix_config(policy, mode, traces))
+                     .per_step_rows for traces in (None, trace_dir)]
+            if policy.startswith("thermal"):
+                runs.append(engine.run_once(churn_config(policy, mode))
+                            .per_step_rows)
+    reused = 0
+    for rows in runs:
+        assert list(traceio._per_step_lines(rows)) == plain_lines(rows)
+        last = {}
+        for row in rows:
+            reused += last.get(row[2]) == (id(row[3]), id(row[4]))
+            last[row[2]] = (id(row[3]), id(row[4]))
+    assert reused      # the reused host text is exercised, not only built
+
+
+def test_per_step_lines_tell_signed_zeros_apart():
+    # One host's temperature and power go 0.0 -> -0.0 -> -0.0 (another
+    # object) -> 0.0, then repeat the same objects; equal values, three
+    # different objects, two texts.
+    zero, neg, other_neg, other_zero = 0.0, float("-0.0"), float("-0.0"), \
+        float("0.0")
+    assert neg is not other_neg and zero is not other_zero
+    values = (zero, neg, other_neg, other_zero, other_zero)
+    rows = [(step, 300 * step, "pm-0", value, value, 1.5, 0, 0.0)
+            for step, value in enumerate(values, start=1)]
+    lines = list(traceio._per_step_lines(rows))
+    assert lines == plain_lines(rows)
+    assert [line.split(",")[3] for line in lines] == \
+        ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
+
+
+def test_per_step_lines_equal_but_distinct_objects():
+    # Equal, distinct floats and host ids: reprinted, and printed the same.
+    temps = [float("21.25"), float("21.25")]
+    hosts = ["pm-" + str(i) for i in (0, 0)]
+    assert temps[0] is not temps[1] and hosts[0] is not hosts[1]
+    rows = [(1, 300, hosts[0], temps[0], 9.5, 2.0, 0, 0.0),
+            (2, 600, hosts[1], temps[1], 9.5, 2.0, 0, 0.0),
+            (3, 900, hosts[1], 21.25, float("9.5"), 2.0, 0, 0.0)]
+    assert list(traceio._per_step_lines(rows)) == plain_lines(rows)
+
+
+def test_per_step_lines_negative_zero_energy():
+    # Rows sharing every step-wide object but energy_j_cum, which is 0.0
+    # for the first two hosts and -0.0 for the third.
+    step, clock, migrations, svr = 7, 2100, 0, 0.0
+    zero, neg = 0.0, float("-0.0")
+    rows = [(step, clock, "pm-0", 20.0, 5.0, zero, migrations, svr),
+            (step, clock, "pm-1", 21.0, 6.0, zero, migrations, svr),
+            (step, clock, "pm-2", 22.0, 7.0, neg, migrations, svr)]
+    lines = list(traceio._per_step_lines(rows))
+    assert lines == plain_lines(rows)
+    assert [line.split(",")[5] for line in lines] == ["0.0", "0.0", "-0.0"]
+
+
 def test_summarize_rejects_foreign_header(tmp_path):
     path = tmp_path / "per_step.csv"
     path.write_text("a,b,c\n1,2,3\n")

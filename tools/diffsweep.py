@@ -11,14 +11,17 @@ x 2 thermal modes, 30 steps each, each run once on synthetic load and once
 replaying the traces of ``tests/test_golden.py::write_traces``, written to
 a temporary directory) and ``perfbench/workloads.py``'s fleet, overload and
 churn configs at each of ``--seeds``. Every run is reduced to
-the sha256 of its (events, per-step rows, summary row), as in
-``tests/test_golden.py``. The script prints the number of runs, of runs
+one sha256 over the digest of its (events, per-step rows, summary row), as
+in ``tests/test_golden.py``, and the sha256 of the ``summary.csv`` and
+``per_step.csv`` its side's ``traceio.write_report`` writes, so a change to
+the report writer shows too. The script prints the number of runs, of runs
 with an overheat eviction, of runs with a migration and of mismatches, and
 exits 1 on any mismatch.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -67,23 +70,40 @@ def _runs(configs, seeds, trace_dir):
                 workloads.simulation_config(name, seed)))
 
 
+def run_digest(report, out_dir):
+    """sha256 over the report's in-memory digest and the sha256 of the
+    summary.csv and per_step.csv it writes to ``out_dir``."""
+    from dctherm import traceio
+    from test_golden import report_digest
+
+    summary_path, per_step_path, _ = traceio.write_report(report, out_dir)
+    parts = [report_digest(report)]
+    for path in (summary_path, per_step_path):
+        parts.append(hashlib.sha256(pathlib.Path(path).read_bytes())
+                     .hexdigest())
+    return hashlib.sha256(" ".join(parts).encode("ascii")).hexdigest()
+
+
 def run_side(configs, seeds):
     """Print one JSON line per run: [name, digest, evicted, migrated]."""
     sys.path.insert(0, str(ROOT / "tests"))   # test_engine imports siblings
     from dctherm import engine
-    from test_golden import report_digest, write_traces
+    from test_golden import write_traces
 
     src = pathlib.Path(os.environ["PYTHONPATH"]).resolve()
     if src not in pathlib.Path(engine.__file__).resolve().parents:
         sys.exit(f"dctherm was imported from {engine.__file__}, not {src}")
 
-    with tempfile.TemporaryDirectory() as trace_dir:
+    with tempfile.TemporaryDirectory() as work:
+        trace_dir = os.path.join(work, "traces")
+        out_dir = os.path.join(work, "report")
+        os.mkdir(trace_dir)
         write_traces(pathlib.Path(trace_dir))
         for name, cfg in _runs(configs, seeds, trace_dir):
             report = engine.run_once(cfg)
             evicted = any(kind == "overheat-evict"
                           for _, kind, _ in report.events)
-            print(json.dumps([name, report_digest(report), evicted,
+            print(json.dumps([name, run_digest(report, out_dir), evicted,
                               report.migrations > 0]))
 
 
