@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: simulate, train-predictor, predict, gen-workload, report.
+Subcommands: simulate, train-predictor, predict, report.
 Exit codes: 0 success, 2 configuration error, 3 io/parse error or any
 other OSError, 4 numeric failure.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from . import engine, predictor, traceio
 from .errors import (DcthermError, DomainError, InvalidConfig, IoError,
                      NonFiniteLoss, ParseError, SchemaError, UnknownPolicy)
-from .model import WorkloadGenConfig, load_config
+from .model import load_config
 from .scheduler import registered_policies
 
 EXIT_OK = 0
@@ -66,11 +66,6 @@ def build_parser():
     pred.add_argument("--epsilon", type=_number(float, 0), default=0.05,
                       help="relative tolerance counted as correct")
 
-    gen = sub.add_parser("gen-workload", help="write a synthetic workload CSV")
-    gen.add_argument("--count", type=int, required=True)
-    gen.add_argument("--seed", type=_number(int, 0), default=0)
-    gen.add_argument("--out", required=True)
-
     rep = sub.add_parser("report", help="re-summarize a run directory")
     rep.add_argument("--in", dest="run_dir", required=True,
                      help="directory containing per_step.csv")
@@ -88,6 +83,8 @@ def _cmd_simulate(args):
         overrides["replicates"] = args.replicates
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    if args.out:
+        _check_out_path(args.out, is_dir=True)
     report = engine.run(cfg)
     print(f"policy={report.policy} seed={report.seed} "
           f"lambda={report.lambda_per_interval:.4g}")
@@ -115,16 +112,21 @@ def _windows_from_args(args):
     return predictor.interleaved_split(windows, n_test)
 
 
-def _check_out_path(path):
-    """Raise IoError unless a file can be written at ``path``: checked
-    before a long run, so a bad --out fails at once rather than after."""
-    directory = os.path.dirname(path) or os.curdir
+def _check_out_path(path, is_dir=False):
+    """Raise IoError unless ``path`` can be written: a file in a directory
+    that exists or, with ``is_dir``, a directory that exists or can be made
+    in its nearest existing ancestor. Checked before a long run, so a bad
+    --out fails at once rather than after; it creates nothing."""
+    if os.path.exists(path) and os.path.isdir(path) != is_dir:
+        raise IoError(f"cannot write {path}: it is "
+                      f"{'not ' if is_dir else ''}a directory")
+    directory = path if is_dir else os.path.dirname(path) or os.curdir
+    while is_dir and not os.path.exists(directory):
+        directory = os.path.dirname(directory) or os.curdir
     if not os.path.isdir(directory):
         raise IoError(f"cannot write {path}: no directory {directory}")
     if not os.access(directory, os.W_OK):
         raise IoError(f"cannot write {path}: {directory} is not writable")
-    if os.path.isdir(path):
-        raise IoError(f"cannot write {path}: it is a directory")
 
 
 def _cmd_train(args):
@@ -153,14 +155,6 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _cmd_gen_workload(args):
-    rng = np.random.default_rng([args.seed, engine.STREAM_WORKLOAD])
-    workloads = traceio.spread_arrivals(WorkloadGenConfig(), rng, args.count)
-    traceio.write_workloads_csv(workloads, args.out)
-    print(f"wrote {len(workloads)} workloads to {args.out}")
-    return EXIT_OK
-
-
 def _cmd_report(args):
     summary = traceio.summarize_per_step(os.path.join(args.run_dir, "per_step.csv"))
     # SVR as run_once defines it, counting tasks unfinished at the horizon;
@@ -180,7 +174,6 @@ def main(argv=None):
         "simulate": _cmd_simulate,
         "train-predictor": _cmd_train,
         "predict": _cmd_predict,
-        "gen-workload": _cmd_gen_workload,
         "report": _cmd_report,
     }
     try:

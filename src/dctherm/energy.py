@@ -153,6 +153,16 @@ def dynamic_power(u, p):
     return (linear + nonlinear) / 2.0
 
 
+def ordered_sum(values):
+    """Sum ``values`` left to right from the int 0, as ``sum()`` did before
+    Python 3.12 compensated float sums. Reports carry this rounding, so
+    every float sum that reaches one goes through here."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def computing_power(p, active=Activity(), cores=1, cpu_util=0.0):
     """Compose the computing half of the tree for one host.
 
@@ -170,7 +180,7 @@ def computing_power(p, active=Activity(), cores=1, cpu_util=0.0):
                   + p.leakage_w + p.idle_w)
     else:
         core_w = p.idle_w
-    # A loop, not sum(), which compensates from Python 3.12: reports carry this rounding.
+    # Added in a loop, as ordered_sum adds, for the same reason.
     proc = 0.0
     for _ in range(cores):
         proc += core_w

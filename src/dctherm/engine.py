@@ -157,8 +157,9 @@ def load_trace_assignments(trace_dir, vm_ids):
 
 
 def _host_utilization(state, host):
-    demand = sum(state.vms[v].util.resource * state.vms[v].spec.mips
-                 for v in host.placed_vms)
+    demand = energy.ordered_sum(state.vms[v].util.resource
+                                * state.vms[v].spec.mips
+                                for v in host.placed_vms)
     return min(1.0, demand / host.spec.total_mips)
 
 
@@ -362,8 +363,8 @@ def step(state):
             state.dirty_vms.update(v for v in host.placed_vms
                                    if vms[v].util.resource)
         busy = any(vms[v].reserved_mips > 0 for v in host.placed_vms)
-        host.reserved_mips = sum(vms[v].reserved_mips
-                                 for v in host.placed_vms)
+        host.reserved_mips = energy.ordered_sum(vms[v].reserved_mips
+                                                for v in host.placed_vms)
         active = energy.Activity(processor=bool(host.placed_vms),
                                  storage=busy, memory=busy, network=busy,
                                  extra=busy)
@@ -471,7 +472,7 @@ def run_once(cfg, seed=None):
         sla_violations=violations,
         tasks_generated=state.tasks_generated,
         tasks_completed=len(state.completed_tasks),
-        temp_mean_c=sum(temps) / len(temps),
+        temp_mean_c=energy.ordered_sum(temps) / len(temps),
         temp_max_c=max(temps),
         per_step_rows=state.per_step_rows,
         temp_series=state.temp_series,
@@ -488,7 +489,7 @@ def run(cfg):
     rows = [r.summary_row() for r in reports]
     if len(reports) > 1:
         mean = tuple(
-            sum(row[i] for row in rows) / len(rows)
+            energy.ordered_sum(row[i] for row in rows) / len(rows)
             for i in range(len(SimulationReport.SUMMARY_FIELDS)))
         rows.append(mean)
     first.replicate_rows = rows

@@ -20,6 +20,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import partial
 
+from .energy import ordered_sum
 from .errors import InvalidConfig, UnknownPolicy
 from .thermal import ThermalClass, classify_vm
 
@@ -49,8 +50,8 @@ class Snapshot:
 
     def residual(self, host):
         placed = [self.vms[v] for v in host.placed_vms]
-        mips = host.spec.total_mips - sum(v.spec.mips for v in placed)
-        ram = host.spec.ram_mb - sum(v.spec.ram_mb for v in placed)
+        mips = host.spec.total_mips - ordered_sum(v.spec.mips for v in placed)
+        ram = host.spec.ram_mb - ordered_sum(v.spec.ram_mb for v in placed)
         return mips, ram
 
 

@@ -1,4 +1,4 @@
-"""Trace ingestion, workload synthesis and report files.
+"""Trace ingestion, arrival draws and report files.
 
 Loaders are total over their documented formats: a file either parses
 fully or raises a positioned error. Every CSV file is written by one
@@ -21,7 +21,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidConfig, IoError, ParseError, SchemaError
+from .energy import ordered_sum
+from .errors import DomainError, IoError, ParseError, SchemaError
 from .model import MAX_ARRIVAL_RATE, Workload
 from .predictor import CSV_COLUMNS, TelemetryRecord
 
@@ -35,8 +36,6 @@ SUMMARY_FIELDS = ("seed", "total_energy_kwh", "svr", "migrations",
 SUMMARY_HEADER = ("label", *SUMMARY_FIELDS)
 PER_STEP_HEADER = ("step", "clock_s", "host_id", "temp_c", "power_w",
                    "energy_j_cum", "migrations_cum", "svr_cum")
-WORKLOAD_HEADER = ("id", "arrival_s", "length_mi", "mips_requested",
-                   "file_size_mb", "output_size_mb", "ram_mb", "cost_cd")
 
 
 @dataclass(frozen=True)
@@ -261,37 +260,6 @@ def poisson_arrivals(lam, rng):
     return k
 
 
-def spread_arrivals(wgcfg, rng, count, interval_s=300, horizon_s=172800):
-    """Standalone workload list with arrivals spread over the horizon by
-    per-interval Poisson counts (rate count / steps); any shortfall lands
-    in the final interval so exactly ``count`` workloads come back."""
-    steps = horizon_s // interval_s
-    if not 0 <= count <= MAX_ARRIVAL_RATE * steps:
-        raise InvalidConfig("count", f"must be in [0, {MAX_ARRIVAL_RATE * steps}]"
-                                     f" ({MAX_ARRIVAL_RATE} per interval)")
-    lam = count / steps if steps else 0.0
-    out = []
-    for s in range(steps):
-        if len(out) >= count:
-            break
-        n = min(poisson_arrivals(lam, rng), count - len(out))
-        out.extend(generate_workloads(wgcfg, rng, n, arrival_s=s * interval_s,
-                                      id_offset=len(out)))
-    if len(out) < count:
-        out.extend(generate_workloads(
-            wgcfg, rng, count - len(out),
-            arrival_s=(steps - 1) * interval_s,
-            id_offset=len(out)))
-    return out
-
-
-def write_workloads_csv(workloads, path):
-    _write_csv(path, WORKLOAD_HEADER, (
-        _csv_line((w.id, w.arrival_s, w.length_mi, w.mips_requested,
-                   w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd))
-        for w in workloads))
-
-
 def write_report(report, out_dir):
     """Write summary.csv, per_step.csv and manifest.json; returns paths."""
     try:
@@ -358,6 +326,7 @@ def summarize_per_step(path):
         "hosts": len(temps),
         "total_energy_kwh": energy_j / 3.6e6,
         "migrations": migrations,
-        "temp_mean_c": sum(all_temps) / len(all_temps) if all_temps else 0.0,
+        "temp_mean_c": (ordered_sum(all_temps) / len(all_temps) if all_temps
+                        else 0.0),
         "temp_max_c": max(all_temps) if all_temps else 0.0,
     }

@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .energy import ordered_sum
+
 
 @dataclass
 class Assignment:
@@ -92,9 +94,9 @@ def vm_means(vms):
     if not vms:
         return 1.0, 1.0, 1.0
     n = len(vms)
-    return (sum(vm.spec.mips for vm in vms) / n,
-            sum(vm.spec.ram_mb for vm in vms) / n,
-            sum(vm.spec.bandwidth_bps for vm in vms) / n)
+    return (ordered_sum(vm.spec.mips for vm in vms) / n,
+            ordered_sum(vm.spec.ram_mb for vm in vms) / n,
+            ordered_sum(vm.spec.bandwidth_bps for vm in vms) / n)
 
 
 def bandwidth_need(task, interval_s):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -57,13 +58,7 @@ def test_unknown_config_key_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
-def test_gen_workload_and_report_cycle(tmp_path, capsys):
-    out = tmp_path / "wl.csv"
-    assert cli.main(["gen-workload", "--count", "30", "--seed", "9",
-                     "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 31
-
+def test_simulate_and_report_cycle(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     run_dir = tmp_path / "run"
     cli.main(["simulate", "--config", str(cfg_path), "--out", str(run_dir)])
@@ -212,9 +207,11 @@ def _unreadable_inputs(tmp_path, case):
     if case == "predict-missing-model":
         return ["predict", "--model", str(tmp_path / "missing.bin"),
                 "--data", sample]
-    if case == "gen-workload-missing-dir":
-        return ["gen-workload", "--count", "5",
-                "--out", str(missing_dir / "w.csv")]
+    if case == "simulate-out-below-a-file":
+        below = tmp_path / "a-file"
+        below.write_text("")
+        return ["simulate", "--config", str(write_config(tmp_path)),
+                "--out", str(below / "run")]
     if case == "train-predictor-missing-dir":
         return ["train-predictor", "--synthetic", "20", "--epochs", "1",
                 "--out", str(missing_dir / "m.bin")]
@@ -273,14 +270,15 @@ UNREADABLE_MESSAGES = {
     "train-predictor", "predict", "simulate", "report-summary-not-utf8",
     "report-per-step-not-utf8", "report-summary-not-a-number",
     "report-summary-without-svr", "report-summary-extra-field",
-    "predict-missing-model", "gen-workload-missing-dir",
+    "predict-missing-model", "simulate-out-below-a-file",
     "train-predictor-missing-dir", "predict-too-short-telemetry",
     "train-predictor-too-short-telemetry"])
 def test_unreadable_text_input_exit_3_without_traceback(tmp_path, capsys,
                                                         case):
     # Each once leaked a UnicodeDecodeError, ValueError, KeyError or
     # FileNotFoundError traceback (exit 1), or, for too-short telemetry,
-    # exited 4 (predict) or 2 blaming --test-count (train-predictor).
+    # exited 4 (predict) or 2 blaming --test-count (train-predictor). An
+    # --out below a regular file once cost the whole simulation first.
     argv = _unreadable_inputs(tmp_path, case)
     capsys.readouterr()
     env = dict(os.environ)
@@ -293,6 +291,7 @@ def test_unreadable_text_input_exit_3_without_traceback(tmp_path, capsys,
     assert result.stderr.startswith("io error:")
     assert "Traceback" not in result.stderr
     assert UNREADABLE_MESSAGES.get(case, "") in result.stderr
+    assert "energy_kwh=" not in result.stdout
 
 
 def test_train_on_telemetry_with_too_few_windows_for_test_count_exit_2(
@@ -355,16 +354,6 @@ def test_malformed_config_exit_2_without_traceback(tmp_path):
         assert "Traceback" not in result.stderr
 
 
-def test_gen_workload_count_out_of_range_exit_2(tmp_path, capsys):
-    # 500000 over the default 576 steps is 868 arrivals per interval
-    for count in ("500000", "-5"):
-        out = tmp_path / "wl.csv"
-        assert cli.main(["gen-workload", "--count", count,
-                         "--out", str(out)]) == 2
-        assert not out.exists()
-        assert "count" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["train-predictor", "--synthetic", "0"],
     ["train-predictor", "--synthetic", "-5"],
@@ -397,8 +386,7 @@ def test_out_of_range_numeric_flag_exit_2(tmp_path, capsys, argv):
     "simulate --config {config} --seed -1",
     "simulate --config {negative_seed_config}",
     "train-predictor --synthetic 12 --seed -1 --out {out}",
-    "gen-workload --count 3 --seed -1 --out {out}",
-], ids=["simulate-flag", "simulate-config", "train-predictor", "gen-workload"])
+], ids=["simulate-flag", "simulate-config", "train-predictor"])
 def test_negative_seed_exit_2(tmp_path, capsys, command):
     # Each once died in numpy's default_rng with a traceback (exit 1).
     negative = tmp_path / "negative.json"
@@ -413,3 +401,14 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_cli_block_lists_exactly_the_parser_subcommands():
+    # A removed or added subcommand must not leave README's synopsis stale.
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("dctherm ")]
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(subparsers.choices)

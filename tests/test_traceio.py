@@ -141,11 +141,13 @@ def test_block_draws_match_scalar_draws():
     configs = (WorkloadGenConfig(),
                WorkloadGenConfig(length_base_mi=10000, mips_range=(100, 500),
                                  ram_range=(0, 512), cost_range=(3, 3)))
+    # Seeds 0-19 in small counts, and seed 9 with one block of 300.
+    cases = [(seed, (0, 1, 7, 100)) for seed in range(20)] + [(9, (300,))]
     for cfg in configs:
-        for seed in range(20):
+        for seed, counts in cases:
             rng, oracle_rng = (np.random.default_rng(seed),
                                np.random.default_rng(seed))
-            for count in (0, 1, 7, 100):
+            for count in counts:
                 got = traceio.generate_workloads(cfg, rng, count,
                                                  arrival_s=300, id_offset=5)
                 want = oracle_generate_workloads(cfg, oracle_rng, count,
@@ -154,27 +156,6 @@ def test_block_draws_match_scalar_draws():
                 assert all(type(getattr(w, name)) is float
                            for w in got for name in FLOAT_FIELDS)
             assert rng.random() == oracle_rng.random()
-
-
-def test_gen_workload_csv_bytes_match_scalar_draws(tmp_path, monkeypatch):
-    from oracles import oracle_generate_workloads
-    from dctherm import cli
-    args = ["gen-workload", "--count", "300", "--seed", "9", "--out"]
-    assert cli.main(args + [str(tmp_path / "block.csv")]) == 0
-    monkeypatch.setattr(traceio, "generate_workloads",
-                        oracle_generate_workloads)
-    assert cli.main(args + [str(tmp_path / "scalar.csv")]) == 0
-    assert (tmp_path / "block.csv").read_bytes() \
-        == (tmp_path / "scalar.csv").read_bytes()
-
-
-def test_spread_arrivals_exact_count():
-    cfg = WorkloadGenConfig()
-    tasks = traceio.spread_arrivals(cfg, np.random.default_rng(6), 200,
-                                    interval_s=300, horizon_s=30000)
-    assert len(tasks) == 200
-    assert all(t.arrival_s % 300 == 0 for t in tasks)
-    assert all(0 <= t.arrival_s < 30000 for t in tasks)
 
 
 # --- report files -----------------------------------------------------------
@@ -324,16 +305,6 @@ def test_csv_field_over_the_csv_limit_is_a_parse_error(tmp_path):
         traceio.load_telemetry_csv(path)
 
 
-def test_workload_csv(tmp_path):
-    tasks = traceio.spread_arrivals(WorkloadGenConfig(),
-                                    np.random.default_rng(1), 25)
-    path = tmp_path / "wl.csv"
-    traceio.write_workloads_csv(tasks, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(traceio.WORKLOAD_HEADER)
-    assert len(lines) == 26
-
-
 def test_report_rows_hold_only_builtin_values(tmp_path):
     # The writers print values with str, which for a numpy float would
     # print a different text than for the builtin float of equal value.
@@ -341,8 +312,8 @@ def test_report_rows_hold_only_builtin_values(tmp_path):
                              workload=WorkloadGenConfig(lambda_per_interval=2.0))
     report = engine.run(cfg)
     rows = list(report.per_step_rows) + list(report.replicate_rows)
-    tasks = traceio.spread_arrivals(WorkloadGenConfig(),
-                                    np.random.default_rng(3), 50)
+    tasks = traceio.generate_workloads(WorkloadGenConfig(),
+                                       np.random.default_rng(3), 50)
     rows += [(w.id, w.arrival_s, w.length_mi, w.mips_requested,
               w.file_size_mb, w.output_size_mb, w.ram_mb, w.cost_cd)
              for w in tasks]
