@@ -141,13 +141,11 @@ def test_block_draws_match_scalar_draws():
     configs = (WorkloadGenConfig(),
                WorkloadGenConfig(length_base_mi=10000, mips_range=(100, 500),
                                  ram_range=(0, 512), cost_range=(3, 3)))
-    # Seeds 0-19 in small counts, and seed 9 with one block of 300.
-    cases = [(seed, (0, 1, 7, 100)) for seed in range(20)] + [(9, (300,))]
     for cfg in configs:
-        for seed, counts in cases:
+        for seed in range(20):
             rng, oracle_rng = (np.random.default_rng(seed),
                                np.random.default_rng(seed))
-            for count in counts:
+            for count in (0, 1, 7, 100):
                 got = traceio.generate_workloads(cfg, rng, count,
                                                  arrival_s=300, id_offset=5)
                 want = oracle_generate_workloads(cfg, oracle_rng, count,
@@ -156,6 +154,22 @@ def test_block_draws_match_scalar_draws():
                 assert all(type(getattr(w, name)) is float
                            for w in got for name in FLOAT_FIELDS)
             assert rng.random() == oracle_rng.random()
+
+
+def test_gen_workload_csv_bytes_match_scalar_draws(tmp_path):
+    # One block of 300 tasks, printed through the report CSV writer, gives
+    # the same bytes as the scalar oracle's draws from the same seed.
+    from oracles import oracle_generate_workloads
+    header = ("id", "arrival_s", "length_mi", "mips_requested",
+              "file_size_mb", "output_size_mb", "ram_mb", "cost_cd")
+    for name, generate in (("block.csv", traceio.generate_workloads),
+                           ("scalar.csv", oracle_generate_workloads)):
+        tasks = generate(WorkloadGenConfig(), np.random.default_rng(9), 300)
+        traceio._write_csv(tmp_path / name, header,
+                           (traceio._csv_line([getattr(w, f) for f in header])
+                            for w in tasks))
+    assert (tmp_path / "block.csv").read_bytes() \
+        == (tmp_path / "scalar.csv").read_bytes()
 
 
 # --- report files -----------------------------------------------------------
