@@ -18,8 +18,20 @@ nine names of PARAM_NAMES (``w_z = w[0]``, ``b_z = b[0, 0]``, ...) are
 contiguous views into those stacks, so parameter iteration and the model
 file see nine separate tensors. One timestep is a stacked ``x @ w`` for
 all three gates, one ``h @ u[:2]`` for z and r, and a single sigmoid over
-the z|r block; every intermediate is written with ``out=`` into buffers
-allocated once per call, so the time loop allocates no full-size arrays.
+the z|r block; every intermediate is written with ``out=`` into the
+buffers of a Workspace, so the time loop allocates nothing.
+
+A Workspace hands out float64 buffers that each start on a 64-byte cache
+line (numpy alone aligns to 16 bytes, and an elementwise pass over a
+misaligned slab runs up to twice as slow, so timings would follow the heap
+layout). The model keeps one training workspace per (T, batch) shape,
+made on the first training forward and reused by every epoch: each layer's
+activation cache (``hs`` and the (T, 3, batch, H) gate stack), one set of
+forward and one of backward step scratch shared by the layers of each
+width, and two input-gradient buffers that alternate between layers in
+backward. A forward without a cache (inference) runs in fresh buffers,
+writes one (3, batch, H) gate buffer in place of the gate stack, and
+leaves the training workspace alone.
 
 The gate nonlinearity is ``1 / (1 + exp(-x))`` evaluated in place. For
 x below about -709 ``exp(-x)`` overflows to inf and the result is exactly
@@ -27,14 +39,19 @@ x below about -709 ``exp(-x)`` overflows to inf and the result is exactly
 
 The backward pass is a hand-derived backpropagation through time that
 returns a gradient for every weight tensor; the tests check it against
-central finite differences and against a nine-tensor reference layer.
+central finite differences and against a nine-tensor reference layer. It
+recomputes ``r * h`` from the cached gates instead of caching it, and
+multiplies by contiguous copies of the transposed weights.
 """
+
+import math
 
 import numpy as np
 
 from .errors import DimensionMismatch
 
 PARAM_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c")
+CACHE_LINE = 64     # bytes
 
 
 def sigmoid(x, out=None):
@@ -44,6 +61,34 @@ def sigmoid(x, out=None):
         np.exp(out, out=out)
         out += 1.0
         return np.reciprocal(out, out=out)
+
+
+def aligned_empty(shape):
+    """Uninitialised float64 array whose data starts on a cache line."""
+    size = math.prod(shape)
+    raw = np.empty(size + CACHE_LINE // 8 - 1)
+    start = -raw.ctypes.data % CACHE_LINE // 8
+    return raw[start:start + size].reshape(shape)
+
+
+class Workspace:
+    """Cache-line-aligned float64 buffers, each allocated on first use.
+
+    ``get(key, shape)`` returns the buffer kept under ``(key, shape)``.
+    Activation caches are keyed by their layer, step scratch by its role
+    only, so all layers of one width share the scratch. ``shape`` is the
+    (T, batch) a training workspace was made for.
+    """
+
+    def __init__(self, shape=None):
+        self.shape = shape
+        self.buffers = {}
+
+    def get(self, key, shape):
+        buf = self.buffers.get((key, shape))
+        if buf is None:
+            buf = self.buffers[key, shape] = aligned_empty(shape)
+        return buf
 
 
 def orthogonal_matrix(rng, n):
@@ -81,79 +126,104 @@ class GruLayer:
         for name, view in zip(PARAM_NAMES, gate_views(self.w, self.u, self.b)):
             setattr(self, name, view)
 
-    def forward(self, xs, h0=None):
+    def forward(self, xs, h0=None, work=None, keep_cache=True):
         """Run the recurrence over a (T, batch, input) sequence.
 
-        Returns the (T, batch, hidden) outputs and a cache for backward.
+        Returns the (T, batch, hidden) outputs and a cache for backward, or
+        None for the cache when ``keep_cache`` is false. Buffers come from
+        ``work`` (a fresh Workspace when None); the outputs and the cache
+        hold until ``work`` runs this layer again.
         """
         T, batch, nin = xs.shape
         if nin != self.input_size:
             raise DimensionMismatch(
                 f"layer expects {self.input_size} inputs, got {nin}")
         H = self.hidden_size
-        w, u, b = self.w, self.u, self.b
-        hs = np.empty((T + 1, batch, H))
+        w, u = self.w, self.u
+        if work is None:
+            work = Workspace()
+        hs = work.get((self, "hs"), (T + 1, batch, H))
         hs[0] = 0.0 if h0 is None else h0
-        gates = np.empty((T, 3, batch, H))    # z, r, c per step
-        ss = np.empty((T, batch, H))          # r * h per step
-        a = np.empty((3, batch, H))           # gate pre-activations
+        # z, r, c per step; without a cache one buffer serves every step
+        gates = gate = None
+        if keep_cache:
+            gates = work.get((self, "gates"), (T, 3, batch, H))
+        else:
+            gate = work.get("gate", (3, batch, H))
+        a = work.get("a", (3, batch, H))          # gate pre-activations
         a_zr = a[:2]
-        uh = np.empty((2, batch, H))
-        tmp = np.empty((batch, H))
+        bias = work.get("bias", (3, batch, H))
+        bias[...] = self.b
+        uh = work.get("uh", (2, batch, H))
+        s = work.get("s", (batch, H))             # r * h
+        tmp = work.get("tmp", (batch, H))
         for t in range(T):
-            h, z_r, c, s = hs[t], gates[t, :2], gates[t, 2], ss[t]
+            h = hs[t]
+            zrc = gate if gates is None else gates[t]
+            z_r, c = zrc[:2], zrc[2]
             np.matmul(xs[t], w, out=a)
             np.matmul(h, u[:2], out=uh)
             a_zr += uh
-            a_zr += b[:2]
+            a_zr += bias[:2]
             sigmoid(a_zr, out=z_r)
             z, r = z_r
             np.multiply(r, h, out=s)
             np.matmul(s, u[2], out=tmp)
             a[2] += tmp
-            a[2] += b[2]
+            a[2] += bias[2]
             np.tanh(a[2], out=c)
             h_next = hs[t + 1]
             np.subtract(1.0, z, out=tmp)
             np.multiply(tmp, h, out=h_next)
             np.multiply(z, c, out=tmp)
             h_next += tmp
-        cache = (xs, hs, gates, ss)
-        return hs[1:], cache
+        return hs[1:], (xs, hs, gates, work) if keep_cache else None
 
-    def backward(self, cache, grad_out, input_grad=True):
+    def backward(self, cache, grad_out, input_grad=True, out=None):
         """Backpropagate (T, batch, hidden) output gradients through time.
 
         Returns (the nine parameter gradients in PARAM_NAMES order,
         input-sequence gradients); the latter is None when ``input_grad``
-        is false, as for the first layer, whose inputs are data.
+        is false, as for the first layer, whose inputs are data. They are
+        written to ``out`` when given, else to a fresh array. Scratch comes
+        from the workspace of the forward that made ``cache``.
         """
-        xs, hs, gates, ss = cache
+        xs, hs, gates, work = cache
         T, batch, nin = xs.shape
         H = self.hidden_size
-        u_t = self.u.transpose(0, 2, 1)
-        w_t = self.w.transpose(0, 2, 1)
+        # Products against contiguous transposes run about twice as fast
+        # as against transposed views, with the same sums.
+        u_t = work.get("u_t", (3, H, H))
+        u_t[...] = self.u.transpose(0, 2, 1)
         gw = np.zeros_like(self.w)
         gu = np.zeros_like(self.u)
         gb = np.zeros_like(self.b)
-        gw_step = np.empty_like(gw)
-        gu_step = np.empty_like(gu)
-        gb_step = np.empty_like(gb)
+        gw_step = work.get("gw_step", gw.shape)
+        gu_step = work.get("gu_step", gu.shape)
+        gb_step = work.get("gb_step", gb.shape)
         ones = np.ones((1, batch))
-        ga = np.empty((3, batch, H))          # gate pre-activation gradients
+        ga = work.get("ga", (3, batch, H))    # gate pre-activation gradients
         ga_z, ga_r, ga_c = ga
         ga_zr = ga[:2]
-        g = np.empty((batch, H))
-        gs = np.empty((batch, H))
-        gh = np.zeros((batch, H))
-        uh = np.empty((2, batch, H))
-        tmp = np.empty((batch, H))
-        grad_xs = np.empty_like(xs) if input_grad else None
-        gx = np.empty((3, batch, nin)) if input_grad else None
+        g = work.get("g", (batch, H))
+        gs = work.get("gs", (batch, H))
+        gh = work.get("gh", (batch, H))
+        gh[...] = 0.0
+        uh = work.get("uh", (2, batch, H))
+        s = work.get("s", (batch, H))             # r * h, recomputed
+        tmp = work.get("tmp", (batch, H))
+        if input_grad:
+            w_t = work.get("w_t", (3, H, nin))
+            w_t[...] = self.w.transpose(0, 2, 1)
+            gx = work.get("gx", (3, batch, nin))
+            grad_xs = np.empty_like(xs) if out is None else out
+        else:
+            grad_xs = None
         for t in range(T - 1, -1, -1):
             np.add(grad_out[t], gh, out=g)
-            x, h, s = xs[t], hs[t], ss[t]
+            x, h = xs[t], hs[t]
             z, r, c = gates[t]
+            np.multiply(r, h, out=s)
             # ga_c = g * z * (1 - c * c)
             np.multiply(g, z, out=ga_c)
             np.multiply(c, c, out=tmp)
@@ -236,6 +306,7 @@ class GruModel:
         self.w_out = w_out          # (hidden_last,)
         self.b_out = b_out          # scalar
         self.norm = norm
+        self.workspace = None       # the training Workspace, if any
 
     @classmethod
     def create(cls, n_features, hidden_sizes, norm, seed=0, zero=False):
@@ -260,11 +331,20 @@ class GruModel:
         """xs: (T, batch, n_features), already normalized.
 
         Returns (batch,) normalized predictions (and caches if asked).
+        With ``keep_cache`` the layers run in ``self.workspace``, made anew
+        when (T, batch) changes, so the caches hold until the next forward
+        that keeps them. Without it the layers run in fresh buffers.
         """
+        if not keep_cache:
+            work = Workspace()
+        elif getattr(self.workspace, "shape", None) == xs.shape[:2]:
+            work = self.workspace
+        else:
+            work = self.workspace = Workspace(xs.shape[:2])
         caches = []
         h = xs
         for layer in self.layers:
-            h, cache = layer.forward(h)
+            h, cache = layer.forward(h, work=work, keep_cache=keep_cache)
             caches.append(cache)
         y = h[-1] @ self.w_out + self.b_out
         if keep_cache:
@@ -278,14 +358,21 @@ class GruModel:
         iter_params order.
         """
         caches, top_h = cache
+        work = caches[-1][-1]
         gw_out = top_h[-1].T @ grad_y
         gb_out = grad_y.sum()
-        grad_seq = np.zeros_like(top_h)
-        grad_seq[-1] = np.outer(grad_y, self.w_out)
-        layer_grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
+        # Layer i reads its output gradients from one of two buffers and
+        # writes its input gradients to the other.
+        n = len(self.layers)
+        grad_seq = work.get(("grad_seq", n % 2), top_h.shape)
+        grad_seq[:-1] = 0.0
+        np.outer(grad_y, self.w_out, out=grad_seq[-1])
+        layer_grads = [None] * n
+        for i in range(n - 1, -1, -1):
+            out = (work.get(("grad_seq", i % 2), caches[i][0].shape)
+                   if i else None)
             layer_grads[i], grad_seq = self.layers[i].backward(
-                caches[i], grad_seq, input_grad=i > 0)
+                caches[i], grad_seq, input_grad=i > 0, out=out)
         return [g for grads in layer_grads for g in grads] + [gw_out, gb_out]
 
     def predict_sequence(self, features):

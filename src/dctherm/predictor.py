@@ -14,6 +14,7 @@ derived from the +-1% utilization and +-1 C temperature precisions of the
 source data; per-fan readings are uniform draws inside rpm +- band/2.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -50,6 +51,10 @@ class TelemetryRecord:
     def __post_init__(self):
         if len(self.fan_rpm) != 5:
             raise ParseError(f"expected 5 fan readings, got {len(self.fan_rpm)}")
+        # float() reads "inf", "nan" and "1e400"; the utilizations' range
+        # checks below reject them.
+        if not all(map(math.isfinite, (*self.fan_rpm, self.cpu_temp_c))):
+            raise ParseError("fan RPM and cpu_temp_c must be finite")
         if any(f < 0 for f in self.fan_rpm):
             raise ParseError("fan RPM must be >= 0")
         for name in ("system_pct", "memory_pct", "cpu_pct", "io_pct"):
@@ -241,7 +246,6 @@ def train_predictor(train_sequences, settings=TrainSettings(),
             raise NonFiniteLoss(epoch, loss)
         history.append(loss)
         grads = model.backward(cache, (2.0 / n) * err)
-        del cache  # free this epoch's activations before the next forward
         for i, (name, param) in enumerate(model.iter_params()):
             v = settings.momentum * velocity[i] - settings.learning_rate * grads[i]
             velocity[i] = v
@@ -249,6 +253,7 @@ def train_predictor(train_sequences, settings=TrainSettings(),
                 model.b_out = model.b_out + v
             else:
                 param += v
+    model.workspace = None      # the returned model keeps no training buffers
 
     if history:
         final_mse = history[-1]

@@ -178,17 +178,12 @@ def load_telemetry_csv(path):
     last_ts = {}
     for row_no, row in _csv_rows(path, "telemetry", CSV_COLUMNS):
         try:
-            fans = tuple(float(v) for v in row[2:7])
-            cpu_temp_c = float(row[11])
-            # float() reads "inf", "nan" and "1e400"; the utilizations'
-            # range checks already reject them.
-            if not all(map(math.isfinite, (*fans, cpu_temp_c))):
-                raise ParseError("fan RPM and cpu_temp_c must be finite")
             record = TelemetryRecord(
-                server_id=row[0], timestamp=row[1], fan_rpm=fans,
+                server_id=row[0], timestamp=row[1],
+                fan_rpm=tuple(float(v) for v in row[2:7]),
                 system_pct=float(row[7]), memory_pct=float(row[8]),
                 cpu_pct=float(row[9]), io_pct=float(row[10]),
-                cpu_temp_c=cpu_temp_c)
+                cpu_temp_c=float(row[11]))
         except (ValueError, ParseError) as exc:
             raise ParseError(str(exc), line_no=row_no) from None
         key = _timestamp_key(record.timestamp)

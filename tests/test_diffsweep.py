@@ -15,5 +15,5 @@ def test_diffsweep_of_a_checkout_against_itself_finds_no_mismatch():
     assert result.returncode == 0, result.stderr
     counts = dict(field.split("=") for field in result.stdout.split())
     # 2 random configs x 4 policies x 2 thermal modes x (synthetic, trace),
-    # and fleet, overload and churn at seed 1.
-    assert counts["runs"] == "35" and counts["mismatches"] == "0"
+    # and fleet, overload, churn and the train protocol at seed 1.
+    assert counts["runs"] == "36" and counts["mismatches"] == "0"

@@ -1,16 +1,20 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from dctherm import predictor
 from dctherm.errors import DimensionMismatch
 from dctherm.gru import (PARAM_NAMES, FeatureNorm, GruLayer, GruModel,
-                         gate_views, orthogonal_matrix, sigmoid)
+                         Workspace, gate_views, orthogonal_matrix, sigmoid)
 
 from oracles import (ReferenceGruLayer, analytic_gradients,
                      finite_difference_gradients, reference_sigmoid)
 
 UNIT_NORM = FeatureNorm(np.zeros(3), np.ones(3), 0.0, 1.0)
+UNIT_NORM_9 = FeatureNorm(np.zeros(9), np.ones(9), 0.0, 1.0)
 
 
 def test_zero_network_outputs_its_bias():
@@ -169,3 +173,159 @@ def test_sigmoid_matches_the_piecewise_form():
     buf = x.copy()
     assert sigmoid(buf, out=buf) is buf
     np.testing.assert_array_equal(buf, sigmoid(x))
+
+
+# ---------------------------------------------------------------------------
+# The training workspace: same floats as fresh buffers, aligned, and left
+# alone by inference.
+# ---------------------------------------------------------------------------
+
+def _training_inputs(total, seed):
+    windows = predictor.synthesize_windows(total, seed=seed)
+    x_raw, y_raw = predictor.sequences_to_arrays(windows)
+    norm = FeatureNorm.fit(x_raw, y_raw)
+    xs = norm.normalize_features(x_raw).transpose(1, 0, 2)
+    return windows, norm, xs, norm.normalize_target(y_raw)
+
+
+def _standalone_forward_backward(model, xs):
+    """The model's forward and backward written out on standalone layer
+    calls, each of which allocates fresh buffers."""
+    caches, h = [], xs
+    for layer in model.layers:
+        h, cache = layer.forward(h)
+        caches.append(cache)
+
+    def backward(grad_y):
+        grad_seq = np.zeros_like(h)
+        grad_seq[-1] = np.outer(grad_y, model.w_out)
+        grads = []
+        for i in range(len(model.layers) - 1, -1, -1):
+            layer_grads, grad_seq = model.layers[i].backward(
+                caches[i], grad_seq, input_grad=i > 0)
+            grads[:0] = layer_grads
+        return grads + [h[-1].T @ grad_y, grad_y.sum()]
+
+    return h[-1] @ model.w_out + model.b_out, backward
+
+
+def _momentum_epochs(model, xs, yn, epochs, forward_backward,
+                     settings=predictor.TrainSettings()):
+    """train_predictor's epoch loop around ``forward_backward``; returns
+    the loss history."""
+    velocity = [np.zeros_like(p) if isinstance(p, np.ndarray) else 0.0
+                for _, p in model.iter_params()]
+    history = []
+    lr, momentum = settings.learning_rate, settings.momentum
+    for _ in range(epochs):
+        pred, backward = forward_backward(model, xs)
+        err = pred - yn
+        history.append(float(np.mean(err * err)))
+        grads = backward((2.0 / yn.shape[0]) * err)
+        for i, (name, param) in enumerate(model.iter_params()):
+            v = momentum * velocity[i] - lr * grads[i]
+            velocity[i] = v
+            if name == "b_out":
+                model.b_out = model.b_out + v
+            else:
+                param += v
+    return history
+
+
+def _assert_same_params(a, b):
+    for (name, pa), (_, pb) in zip(a.iter_params(), b.iter_params()):
+        np.testing.assert_array_equal(pa, pb, err_msg=name)
+
+
+@pytest.mark.parametrize("hidden", [(16, 16, 16, 16), (8, 5, 8)])
+def test_training_matches_standalone_layer_calls(hidden, monkeypatch):
+    windows, norm, xs, yn = _training_inputs(120, seed=4)
+    settings = predictor.TrainSettings(epochs=10, hidden_sizes=hidden, seed=2)
+    workspaces, reused = [], []
+    forward = GruModel.forward_normalized
+
+    def spy(self, xs, keep_cache=False):
+        out = forward(self, xs, keep_cache)
+        if keep_cache:
+            reused.append(bool(workspaces)
+                          and workspaces[0]() is self.workspace)
+            workspaces.append(weakref.ref(self.workspace))
+        return out
+
+    monkeypatch.setattr(GruModel, "forward_normalized", spy)
+    model, report = predictor.train_predictor(windows, settings)
+    reference = GruModel.create(predictor.N_FEATURES, hidden, norm, seed=2)
+    history = _momentum_epochs(reference, xs, yn, 10,
+                               _standalone_forward_backward)
+    assert report.loss_history == history
+    _assert_same_params(model, reference)
+    # One workspace served every epoch, and nothing keeps it alive once
+    # training has returned.
+    assert reused == [False] + [True] * 9
+    gc.collect()
+    assert model.workspace is None and workspaces[0]() is None
+
+
+def test_workspace_buffers_start_on_a_cache_line():
+    model = GruModel.create(9, (16, 16, 5), UNIT_NORM_9, seed=1)
+    xs = np.random.default_rng(2).uniform(0, 1, (8, 37, 9))
+    epochs = []
+    for _ in range(2):
+        y, cache = model.forward_normalized(xs, keep_cache=True)
+        model.backward(cache, np.ones_like(y))
+        epochs.append(dict(model.workspace.buffers))
+    buffers = epochs[0]
+    # Each layer's cache, shared scratch per width and two input-gradient
+    # buffers, all made in the first epoch and kept for the second.
+    keys = {key for key, _ in buffers}
+    for layer in model.layers:
+        assert {(layer, "hs"), (layer, "gates")} <= keys
+    assert {key[1] for key in keys if key[0] == "grad_seq"} == {0, 1}
+    assert epochs[1].keys() == buffers.keys()
+    assert all(epochs[1][key] is buf for key, buf in buffers.items())
+    for key, buf in buffers.items():
+        assert buf.ctypes.data % 64 == 0, key
+        assert buf.flags.c_contiguous, key
+
+
+def test_inference_between_training_epochs_changes_nothing():
+    _, norm, xs, yn = _training_inputs(100, seed=6)
+    # 100 other windows: the training batch's shape, not its values.
+    x_raw, _ = predictor.sequences_to_arrays(
+        predictor.synthesize_windows(100, seed=7))
+    plain = GruModel.create(9, (16, 16), norm, seed=3)
+    probed = GruModel.create(9, (16, 16), norm, seed=3)
+    predictions = []
+
+    def with_inference(model, xs):
+        pred, cache = model.forward_normalized(xs, keep_cache=True)
+        predictions.append(model.predict_batch(x_raw))
+        return pred, lambda grad_y: model.backward(cache, grad_y)
+
+    def without(model, xs):
+        pred, cache = model.forward_normalized(xs, keep_cache=True)
+        return pred, lambda grad_y: model.backward(cache, grad_y)
+
+    assert (_momentum_epochs(probed, xs, yn, 4, with_inference)
+            == _momentum_epochs(plain, xs, yn, 4, without))
+    _assert_same_params(probed, plain)
+    # The predictions were made by the weights of their epoch.
+    replay = GruModel.create(9, (16, 16), norm, seed=3)
+    _momentum_epochs(replay, xs, yn, 1, without)
+    np.testing.assert_array_equal(predictions[1], replay.predict_batch(x_raw))
+
+
+def test_inference_keeps_no_activation_cache():
+    model = GruModel.create(9, (16, 16), UNIT_NORM_9, seed=1)
+    xs = np.random.default_rng(3).uniform(0, 1, (7, 50, 9))
+    y = model.forward_normalized(xs)
+    assert model.workspace is None
+    work, h = Workspace(), xs
+    for layer in model.layers:
+        h, cache = layer.forward(h, work=work, keep_cache=False)
+        assert cache is None
+    # Only the layers' outputs span the sequence: no gate stack, no r * h.
+    assert ([key for key, shape in work.buffers if shape[0] in (7, 8)]
+            == [(layer, "hs") for layer in model.layers])
+    y_cached, _ = model.forward_normalized(xs, keep_cache=True)
+    np.testing.assert_array_equal(y, y_cached)

@@ -90,6 +90,18 @@ def test_telemetry_record_validation():
     assert len(rec.features) == 9
 
 
+@pytest.mark.parametrize("fans, temp", [
+    ((1, 2, 3, 4, float("inf")), 40.0),
+    ((float("-inf"), 2, 3, 4, 5), 40.0),
+    ((1, 2, float("nan"), 4, 5), 40.0),
+    ((1, 2, 3, 4, 5), float("nan")),
+    ((1, 2, 3, 4, 5), float("1e400")),
+])
+def test_telemetry_record_rejects_non_finite_fans_and_temperature(fans, temp):
+    with pytest.raises(ParseError, match="must be finite"):
+        TelemetryRecord("s", "0", fans, 10, 10, 10, 10, temp)
+
+
 def test_synthesize_deterministic():
     a = synthesize_telemetry(2, 20, np.random.default_rng(5))
     b = synthesize_telemetry(2, 20, np.random.default_rng(5))

@@ -14,7 +14,11 @@ churn configs at each of ``--seeds``. Every run is reduced to
 one sha256 over the digest of its (events, per-step rows, summary row), as
 in ``tests/test_golden.py``, and the sha256 of the ``summary.csv`` and
 ``per_step.csv`` its side's ``traceio.write_report`` writes, so a change to
-the report writer shows too. The script prints the number of runs, of runs
+the report writer shows too. At each of ``--seeds`` it also runs perfbench's
+train protocol (``synthesize_windows`` -> ``interleaved_split`` ->
+``train_predictor`` -> ``save_model``, with ``perfbench/workloads.py``'s
+constants), reduced to one sha256 over the loss history, the test accuracy
+and the model file's bytes. The script prints the number of runs, of runs
 with an overheat eviction, of runs with a migration and of mismatches, and
 exits 1 on any mismatch.
 """
@@ -84,6 +88,28 @@ def run_digest(report, out_dir):
     return hashlib.sha256(" ".join(parts).encode("ascii")).hexdigest()
 
 
+def train_digest(seed, out_dir):
+    """sha256 over perfbench's train protocol at ``seed``: the loss
+    history, the test accuracy and the bytes of the saved model file."""
+    from dctherm import predictor
+
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "workloads")
+    windows = predictor.synthesize_windows(workloads.TRAIN_WINDOWS, seed=seed)
+    train_set, test_set = predictor.interleaved_split(
+        windows, workloads.TRAIN_HELD_OUT)
+    settings = predictor.TrainSettings(epochs=workloads.TRAIN_EPOCHS,
+                                       hidden_sizes=workloads.TRAIN_HIDDEN,
+                                       seed=workloads.TRAIN_INIT_SEED)
+    model, report = predictor.train_predictor(train_set, settings,
+                                              test_sequences=test_set)
+    model_path = pathlib.Path(out_dir) / "model.bin"
+    predictor.save_model(model, model_path)
+    digest = hashlib.sha256(repr((report.loss_history,
+                                  report.test_accuracy)).encode())
+    digest.update(model_path.read_bytes())
+    return digest.hexdigest()
+
+
 def run_side(configs, seeds):
     """Print one JSON line per run: [name, digest, evicted, migrated]."""
     sys.path.insert(0, str(ROOT / "tests"))   # test_engine imports siblings
@@ -105,6 +131,9 @@ def run_side(configs, seeds):
                           for _, kind, _ in report.events)
             print(json.dumps([name, run_digest(report, out_dir), evicted,
                               report.migrations > 0]))
+        for seed in seeds:
+            print(json.dumps([f"train/seed-{seed}",
+                              train_digest(seed, work), False, False]))
 
 
 def side_results(root, configs, seeds):
@@ -123,7 +152,7 @@ def main(argv=None):
     parser.add_argument("--configs", type=int, default=60,
                         help="random configs, each run 16 ways")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
-                        help="seeds of the perfbench simulation configs")
+                        help="perfbench seeds (simulations and train)")
     parser.add_argument("--side", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
