@@ -2,10 +2,11 @@
 
 Each step covers one interval and runs, in order: workload arrivals, task ->
 VM mapping from the ``utilization.Backlog``, VM placement by the active
-policy (with migration accounting), power computation and energy integration,
-host temperature update, and task progress / SLA checks. Before placement, a
-policy whose ``scheduler.POLICIES`` entry says so evicts every VM of a host
-above its t_over_c. Every VM is in exactly one of ``state.waiting`` or one
+policy (with migration accounting), power computation and energy integration
+(``_power_phase``), host temperature update (``_temperature_phase``), and
+task progress / SLA checks. Before placement, a policy whose
+``scheduler.POLICIES`` entry says so evicts every VM of a host above its
+t_over_c. Every VM is in exactly one of ``state.waiting`` or one
 host's ``placed_vms``, so a VM is placed exactly when it is not waiting.
 
 A step does each task's work once and each VM's and host's work only when
@@ -26,8 +27,9 @@ its inputs changed. Every VM and host starts dirty:
   or it waits;
 - the power phase recomputes a host's utilization, busy flag, reserved
   MIPS and power figures only when its VM list or a VM's load on it
-  changed; the next refresh reads the utilization and the dynamic draw
-  from the host;
+  changed, in one pass over its VMs, and takes the total draw from
+  ``energy.host_power`` as one float; the next refresh reads the
+  utilization and the dynamic draw from the host;
 - a host's temperature step is reused while its dynamic draw and start
   temperature equal those of its last one;
 - the predicted temperature change (delta-T) that the scheduler
@@ -154,13 +156,6 @@ def load_trace_assignments(trace_dir, vm_ids):
         raise IoError(f"trace dir {trace_dir} has no trace files")
     traces = [load_planetlab_trace(p) for p in paths]
     return {vm_id: traces[i % len(traces)] for i, vm_id in enumerate(vm_ids)}
-
-
-def _host_utilization(state, host):
-    demand = energy.ordered_sum(state.vms[v].util.resource
-                                * state.vms[v].spec.mips
-                                for v in host.placed_vms)
-    return min(1.0, demand / host.spec.total_mips)
 
 
 def _scoring_host(state, vm):
@@ -302,6 +297,69 @@ def _apply_actions(state, actions):
     state.waiting = [vm_id for vm_id in state.waiting if vm_id not in placed]
 
 
+def _power_phase(state):
+    """Phase 4: bring each dirty host's utilization, reserved MIPS and
+    draws up to date, then add every host's draw to the energy total.
+
+    One pass over a dirty host's VMs sums the utilization demand and the
+    reserved MIPS, each left to right from the int 0 in ``placed_vms``
+    order, as ``energy.ordered_sum`` adds, and finds the busy flag: some
+    VM holds a reservation. The total draw is one ``energy.host_power``
+    call, which builds no breakdown object."""
+    vms, host_by_id = state.vms, state.host_by_id
+    host_power, dynamic_power = energy.host_power, energy.dynamic_power
+    activity = energy.HOST_ACTIVITY
+    for host_id in state.dirty_hosts:
+        host = host_by_id[host_id]
+        spec = host.spec
+        placed = host.placed_vms
+        demand = reserved = 0
+        busy = False
+        for vm_id in placed:
+            vm = vms[vm_id]
+            demand += vm.util.resource * vm.spec.mips
+            mips = vm.reserved_mips
+            reserved += mips
+            if mips > 0:
+                busy = True
+        u = min(1.0, demand / spec.total_mips)
+        if u != host.cpu_util:
+            host.cpu_util = u
+            # The VMs with a power share read this host's utilization; a
+            # zero share reads 0.0 W whatever the host does.
+            state.dirty_vms.update(v for v in placed if vms[v].util.resource)
+        host.reserved_mips = reserved
+        power = spec.power
+        host.power_w = host_power(power, activity[bool(placed)][busy],
+                                  spec.cores, u)
+        host.dynamic_w = dynamic_power(u, power.dyn)
+    state.dirty_hosts.clear()
+    interval = state.cfg.interval_s
+    energy_j = state.energy_j
+    for host in state.hosts:
+        energy_j += host.power_w * interval
+    state.energy_j = energy_j
+
+
+def _temperature_phase(state):
+    """Phase 5: step every host's temperature and record it. A host whose
+    dynamic draw and start temperature equal those of its last step reuses
+    that step's result, as ``thermal.cpu_temperature`` is a pure function:
+    equal inputs, equal result."""
+    cfg = state.cfg
+    mode, interval = cfg.thermal_mode, cfg.interval_s
+    # temp_series holds one list per host, added in host order.
+    for host, series in zip(state.hosts, state.temp_series.values()):
+        inputs = (host.dynamic_w, host.current_temp_c)
+        if inputs != host.temp_inputs:
+            host.temp_inputs = inputs
+            host.temp_result_c = thermal.cpu_temperature(
+                host.dynamic_w, host.spec.thermal, mode, interval,
+                host.current_temp_c)
+        host.current_temp_c = host.temp_result_c
+        series.append(host.current_temp_c)
+
+
 def step(state):
     """Advance the simulation by one interval; returns the events emitted."""
     cfg = state.cfg
@@ -351,38 +409,8 @@ def step(state):
                 state.events.append((clock, "overheat-unresolved", vm_id))
     _update_placed(state)
 
-    # 4. energy + 5. temperature per host
-    vms = state.vms
-    for host_id in state.dirty_hosts:
-        host = state.host_by_id[host_id]
-        u = _host_utilization(state, host)
-        if u != host.cpu_util:
-            host.cpu_util = u
-            # The VMs with a power share read this host's utilization; a
-            # zero share reads 0.0 W whatever the host does.
-            state.dirty_vms.update(v for v in host.placed_vms
-                                   if vms[v].util.resource)
-        busy = any(vms[v].reserved_mips > 0 for v in host.placed_vms)
-        host.reserved_mips = energy.ordered_sum(vms[v].reserved_mips
-                                                for v in host.placed_vms)
-        active = energy.Activity(processor=bool(host.placed_vms),
-                                 storage=busy, memory=busy, network=busy,
-                                 extra=busy)
-        host.power_w = energy.host_power(host.spec.power, active,
-                                         host.spec.cores, u).total_w
-        host.dynamic_w = energy.dynamic_power(u, host.spec.power.dyn)
-    state.dirty_hosts.clear()
-    for host in state.hosts:
-        state.energy_j += host.power_w * interval
-        # cpu_temperature is a pure function: equal inputs, equal result.
-        inputs = (host.dynamic_w, host.current_temp_c)
-        if inputs != host.temp_inputs:
-            host.temp_inputs = inputs
-            host.temp_result_c = thermal.cpu_temperature(
-                host.dynamic_w, host.spec.thermal, cfg.thermal_mode,
-                interval, host.current_temp_c)
-        host.current_temp_c = host.temp_result_c
-        state.temp_series[host.id].append(host.current_temp_c)
+    _power_phase(state)
+    _temperature_phase(state)
 
     # 6. task progress, completions, SLA
     still_running = []

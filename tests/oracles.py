@@ -16,6 +16,7 @@ network output.
 import numpy as np
 
 from dctherm import energy
+from dctherm.energy import dynamic_power
 from dctherm.gru import PARAM_NAMES
 from dctherm.model import Workload
 from dctherm.thermal import ThermalClass, cpu_temperature
@@ -81,6 +82,35 @@ def oracle_vm_views(state):
     return views
 
 
+def oracle_host_power_w(p, active, cores, u):
+    """A host's total draw: the seven leaves, processor first and cooling
+    last, added left to right, with the processor leaf added core by core.
+    An inactive subsystem keeps its idle draw, or nothing."""
+    if active.processor:
+        core_w = dynamic_power(u, p.dyn) / cores
+        for static_w in (p.short_circuit_w, p.leakage_w, p.idle_w):
+            core_w += static_w
+    else:
+        core_w = p.idle_w
+    s, m, n, e, c = p.storage, p.memory, p.network, p.extra, p.cooling
+    terms = [
+        [core_w] * cores,
+        [s.read_w, s.write_w, s.idle_w] if active.storage else [s.idle_w],
+        [m.sram_w, m.dram_w] if active.memory else [0.0],
+        [n.router_w, n.gateway_w, n.lan_card_w, n.switch_w]
+        if active.network else [0.0],
+        [e.motherboard_w, e.connector_w * e.ports] if active.extra else [0.0],
+        [c.ac_w, c.compressor_w, c.fan_w],
+    ]
+    total = 0.0
+    for leaf in terms:
+        leaf_w = 0.0
+        for term in leaf:
+            leaf_w += term
+        total += leaf_w
+    return total
+
+
 def oracle_host_figures(state, host):
     """One host's power-phase figures from its VMs as they stand:
     (CPU utilization, reserved MIPS, total draw, dynamic draw)."""
@@ -91,9 +121,8 @@ def oracle_host_figures(state, host):
     active = energy.Activity(processor=bool(vms), storage=busy, memory=busy,
                              network=busy, extra=busy)
     return (u, sum(vm.reserved_mips for vm in vms),
-            energy.host_power(host.spec.power, active, host.spec.cores,
-                              u).total_w,
-            energy.dynamic_power(u, host.spec.power.dyn))
+            oracle_host_power_w(host.spec.power, active, host.spec.cores, u),
+            dynamic_power(u, host.spec.power.dyn))
 
 
 def fits(task, residual):

@@ -45,6 +45,20 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(path)]) == 2
 
 
+def test_simulate_negative_power_draw_exit_2(tmp_path, capsys):
+    # Once exited 0 and printed energy_kwh=-1.275239.
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"hosts": [{"id": "pm-0", "power": {
+        "idle_w": -500.0, "storage": {"read_w": -1.0},
+        "extra": {"ports": -3}}}]}))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    # The nested parts are built, and checked, before their parent.
+    assert "'hosts[0].power.storage.read_w': must be >= 0" in captured.err
+    assert "energy_kwh" not in captured.out
+
+
 def test_simulate_missing_config_exit_3(tmp_path):
     missing = tmp_path / "nope.json"
     code = cli.main(["simulate", "--config", str(missing)])

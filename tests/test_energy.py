@@ -3,6 +3,33 @@ import pytest
 
 from dctherm import energy
 from dctherm.errors import DomainError
+from oracles import oracle_host_power_w
+
+
+def random_power_params(rng):
+    """A PowerParams with every draw and coefficient drawn uniformly from a
+    range about its default, and 0 to 8 ports."""
+    def draws(cls, **ranges):
+        return cls(**{name: float(rng.uniform(*r)) for name, r in ranges.items()})
+
+    return energy.PowerParams(
+        short_circuit_w=float(rng.uniform(0.0, 5.0)),
+        leakage_w=float(rng.uniform(0.0, 10.0)),
+        idle_w=float(rng.uniform(0.0, 20.0)),
+        storage=draws(energy.StoragePower, read_w=(0.0, 30.0),
+                      write_w=(0.0, 30.0), idle_w=(0.0, 10.0)),
+        memory=draws(energy.MemoryPower, sram_w=(0.0, 6.0), dram_w=(0.0, 14.0)),
+        network=draws(energy.NetworkPower, router_w=(0.0, 60.0),
+                      gateway_w=(0.0, 40.0), lan_card_w=(0.0, 20.0),
+                      switch_w=(0.0, 20.0)),
+        extra=energy.ExtraPower(motherboard_w=float(rng.uniform(0.0, 3.0)),
+                                connector_w=float(rng.uniform(0.0, 0.3)),
+                                ports=int(rng.integers(0, 9))),
+        cooling=draws(energy.CoolingPower, ac_w=(0.0, 400.0),
+                      compressor_w=(0.0, 300.0), fan_w=(0.0, 100.0)),
+        dyn=draws(energy.DynamicEnergyParams, capacitance_f=(0.0, 2e-9),
+                  voltage_v=(0.8, 1.5), frequency_hz=(1e9, 4e9),
+                  mu1=(0.0, 240.0), mu2=(0.0, 120.0)))
 
 
 def test_dynamic_power_all_zero_params():
@@ -128,7 +155,29 @@ def test_total_monotone_in_each_leaf():
 
 def test_host_power_composes_cooling():
     p = energy.PowerParams()
-    b = energy.host_power(p, cores=4, cpu_util=0.5)
-    assert b.cooling_w == pytest.approx(p.cooling.ac_w + p.cooling.compressor_w
-                                        + p.cooling.fan_w)
+    _, parts = energy.computing_power(p, cores=4, cpu_util=0.5)
+    c = p.cooling
+    b = energy.total_power(parts,
+                           energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w))
+    assert b.cooling_w == pytest.approx(c.ac_w + c.compressor_w + c.fan_w)
     assert b.total_w == pytest.approx(b.computing_w + b.cooling_w)
+    assert energy.host_power(p, cores=4, cpu_util=0.5) == b.total_w
+
+
+def test_host_power_and_breakdown_equal_the_oracle():
+    """2,000 random parameter sets with full mantissas, so that adding the
+    leaves in another order shows in the last bits, under all four
+    activities the engine passes and at u = 0, 1 and a random one."""
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        p = random_power_params(rng)
+        cores = int(rng.integers(1, 9))
+        c = p.cooling
+        cooling_w = energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w)
+        for by_busy in energy.HOST_ACTIVITY:
+            for active in by_busy:
+                for u in (0.0, 1.0, float(rng.random())):
+                    want = oracle_host_power_w(p, active, cores, u)
+                    assert energy.host_power(p, active, cores, u) == want
+                    _, parts = energy.computing_power(p, active, cores, u)
+                    assert energy.total_power(parts, cooling_w).total_w == want

@@ -15,6 +15,7 @@ from dctherm.model import (DataCenterConfig, HostSpec, VmSpec, VmState,
                            validate_config)
 
 from test_bench_bytes import simulation_config
+from test_energy import random_power_params
 from test_golden import CHURN_THERMAL, churn_config, matrix_config, write_traces
 
 
@@ -719,8 +720,14 @@ def test_incremental_state_matches_full_recompute(tmp_path):
         churn_config("thermal", thermal.MODE_LITERAL))
     assert_incremental_state_matches_full_recompute(matrix_config(
         "thermal", thermal.MODE_TIME_DEPENDENT, write_traces(tmp_path)))
-    assert_incremental_state_matches_full_recompute(
-        model.config_from_dict(simulation_config("fleet", seed=1)), steps=40)
+    fleet = model.config_from_dict(simulation_config("fleet", seed=1))
+    assert_incremental_state_matches_full_recompute(fleet, steps=40)
+    # Every other run here draws the default power constants.
+    rng = np.random.default_rng(20)
+    assert_incremental_state_matches_full_recompute(validate_config(
+        dataclasses.replace(fleet, hosts=tuple(
+            dataclasses.replace(host, power=random_power_params(rng))
+            for host in fleet.hosts))), steps=40)
     rng = np.random.default_rng(2026)
     for _ in range(10):
         base = random_config(rng)

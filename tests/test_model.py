@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dctherm import model
+from dctherm import energy, model
 from dctherm.errors import InvalidConfig
 
 
@@ -213,6 +213,30 @@ def test_malformed_config_names_its_path(data, path):
     with pytest.raises(InvalidConfig) as err:
         model.config_from_dict(data)
     assert err.value.field == path
+
+
+def power_leaf_paths(cls=energy.PowerParams, prefix=""):
+    """Every number field of the power parameter set, as a dotted path."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from power_leaf_paths(f.type, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+@pytest.mark.parametrize("leaf", list(power_leaf_paths()))
+def test_negative_power_field_fails_at_load(leaf):
+    # Once only the cooling and dynamic coefficients were checked: a
+    # negative idle draw loaded and simulated a negative energy.
+    *parents, name = leaf.split(".")
+    power = value = {}
+    for part in parents:
+        value = value.setdefault(part, {})
+    value[name] = -1 if name == "ports" else -0.5
+    with pytest.raises(InvalidConfig) as err:
+        model.config_from_dict({"hosts": [{"id": "pm-0", "power": power}]})
+    assert err.value.field == f"hosts[0].power.{leaf}"
+    assert err.value.reason == "must be >= 0"
 
 
 def test_every_nested_set_round_trips(tmp_path):
