@@ -26,6 +26,7 @@ The constant leaves are never summed ahead of time: adding them in
 another order would change the last bits of every total.
 """
 
+import functools
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import DomainError, InvalidConfig
@@ -36,15 +37,21 @@ DEFAULT_MU1 = 120.0
 DEFAULT_MU2 = 60.0
 
 
+@functools.cache
+def _number_fields(cls):
+    """Names of the fields of ``cls`` that are not parameter groups; cached,
+    as a config load builds every group once per host."""
+    return tuple(f.name for f in fields(cls) if not is_dataclass(f.type))
+
+
 class _NonNegative:
     """Rejects, on construction, a negative value of any field that is not
     itself a parameter group (those check their own fields)."""
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not is_dataclass(value) and value < 0:
-                raise InvalidConfig(f.name, "must be >= 0")
+        for name in _number_fields(type(self)):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(name, "must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ the original per-gate arithmetic, and central finite differences of the
 network output.
 """
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from dctherm import energy
@@ -115,12 +118,13 @@ def oracle_host_figures(state, host):
     """One host's power-phase figures from its VMs as they stand:
     (CPU utilization, reserved MIPS, total draw, dynamic draw)."""
     vms = [state.vms[v] for v in host.placed_vms]
-    u = min(1.0, sum(vm.util.resource * vm.spec.mips for vm in vms)
-            / host.spec.total_mips)
+    # Left to right from the int 0, whatever the interpreter's sum() does.
+    u = min(1.0, reduce(add, [vm.util.resource * vm.spec.mips for vm in vms],
+                        0) / host.spec.total_mips)
     busy = any(vm.reserved_mips > 0 for vm in vms)
     active = energy.Activity(processor=bool(vms), storage=busy, memory=busy,
                              network=busy, extra=busy)
-    return (u, sum(vm.reserved_mips for vm in vms),
+    return (u, reduce(add, [vm.reserved_mips for vm in vms], 0),
             oracle_host_power_w(host.spec.power, active, host.spec.cores, u),
             dynamic_power(u, host.spec.power.dyn))
 
