@@ -9,6 +9,11 @@ task progress / SLA checks. Before placement, a policy whose
 t_over_c. Every VM is in exactly one of ``state.waiting`` or one
 host's ``placed_vms``, so a VM is placed exactly when it is not waiting.
 
+A run's memory follows its live work. Every task is in exactly one of
+``state.pending_tasks`` or ``state.running_tasks`` until it finishes; then
+its SLA is checked, ``state.tasks_completed`` counts it and the task is
+let go. Nothing keeps a finished task: the events name it by id only.
+
 A step does each task's work once and each VM's and host's work only when
 its inputs changed. Every VM and host starts dirty:
 
@@ -89,7 +94,9 @@ class SimulationState:
     waiting: list = field(default_factory=list)
     pending_tasks: Backlog = field(default_factory=Backlog)
     running_tasks: list = field(default_factory=list)
-    completed_tasks: list = field(default_factory=list)
+    # Completions are counted, not kept: phase 6 checks a finishing task's
+    # SLA, then releases it.
+    tasks_completed: int = 0
     energy_j: float = 0.0
     migrations: int = 0
     sla_violations: int = 0
@@ -412,7 +419,7 @@ def step(state):
     _power_phase(state)
     _temperature_phase(state)
 
-    # 6. task progress, completions, SLA
+    # 6. task progress, SLA, completions (counted, then released)
     still_running = []
     waiting = set(state.waiting)
     for task in state.running_tasks:
@@ -434,7 +441,7 @@ def step(state):
             task.finish_s = clock + pause + task.remaining_mi / granted
             task.remaining_mi = 0.0
             _book(state, task, -1.0)
-            state.completed_tasks.append(task)
+            state.tasks_completed += 1
             if check_sla(task, cfg.sla_slack):
                 state.sla_violations += 1
                 state.events.append((clock, "sla-violation", task.id))
@@ -499,7 +506,7 @@ def run_once(cfg, seed=None):
         migrations=state.migrations,
         sla_violations=violations,
         tasks_generated=state.tasks_generated,
-        tasks_completed=len(state.completed_tasks),
+        tasks_completed=state.tasks_completed,
         temp_mean_c=energy.ordered_sum(temps) / len(temps),
         temp_max_c=max(temps),
         per_step_rows=state.per_step_rows,

@@ -138,9 +138,11 @@ class VmState:
         return self.spec.id
 
 
-@dataclass
+@dataclass(slots=True)
 class Workload:
-    """One submitted task (instruction length plus resource demands)."""
+    """One submitted task (instruction length plus resource demands).
+    Slotted: a run holds every pending and running task, so each is a
+    compact record with no per-instance dict."""
 
     id: str
     length_mi: float

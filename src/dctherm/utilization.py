@@ -17,6 +17,7 @@ with ``utilization_sort``.
 import bisect
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,12 +148,17 @@ def map_workloads(tasks, vms, mean_mips):
     resource key exceeds the largest residual MIPS over ``mean_mips``. The
     key's primary field is min(1, mips / mean_mips), and division by a
     positive number is monotone in floating point, so no later task fits
-    any VM.
+    any VM. For the same reason a reached VM whose residual MIPS over
+    ``mean_mips`` is below the current task's resource key fits no later
+    task either; the walk drops such VMs from the front of the reached
+    ones and never visits them again. The bounds still cover every
+    reached VM.
     """
     result = Assignment(tasks)
     if not vms:
         return result
-    slots = []    # (vm id, [MIPS, RAM, bandwidth] residual) of VMs reached
+    reached = []  # (vm id, [MIPS, RAM, bandwidth] residual) of VMs reached
+    slots = deque()  # the reached VMs a task may still fit, in walk order
     unreached = iter(vms)
     # The bounds start open, so a walk that places every task never
     # computes them; they are re-read only if a task was placed since.
@@ -160,11 +166,14 @@ def map_workloads(tasks, vms, mean_mips):
     debited = True
     hits = result.hits
     for position, task in enumerate(tasks):
-        if task.resource > limit:
+        resource = task.resource
+        if resource > limit:
             break
         ram, bw = task.ram_mb, task.bandwidth_bps_required
         if ram > most_ram or bw > most_bw:
             continue
+        while slots and slots[0][1][0] / mean_mips < resource:
+            slots.popleft()
         mips = task.mips_requested
         for vm_id, residual in slots:
             if mips <= residual[0] and ram <= residual[1] and bw <= residual[2]:
@@ -175,6 +184,7 @@ def map_workloads(tasks, vms, mean_mips):
                     vm.spec.mips - vm.reserved_mips,
                     vm.spec.ram_mb - vm.reserved_ram_mb,
                     vm.spec.bandwidth_bps - vm.reserved_bw_bps])
+                reached.append(slot)
                 slots.append(slot)
                 if mips <= residual[0] and ram <= residual[1] \
                         and bw <= residual[2]:
@@ -183,8 +193,8 @@ def map_workloads(tasks, vms, mean_mips):
                 # The walk has reached every VM and none fits this task.
                 if debited:
                     debited = False
-                    most_mips, most_ram, most_bw = (
-                        max(column) for column in zip(*(r for _, r in slots)))
+                    most_mips, most_ram, most_bw = map(
+                        max, zip(*(r for _, r in reached)))
                     limit = most_mips / mean_mips
                 continue
         residual[0] -= mips

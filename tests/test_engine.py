@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import gc
 import hashlib
 
 import numpy as np
@@ -95,15 +96,14 @@ def test_idle_step_energy_is_idle_draw():
 def test_task_completes_after_exact_intervals():
     cfg = small_config()
     state = SimulationState(cfg=cfg, seed=1)
-    state.pending_tasks.extend([Workload(id="t", length_mi=300000.0,
-                                         mips_requested=500.0, ram_mb=64.0,
-                                         arrival_s=0)])
+    task = Workload(id="t", length_mi=300000.0, mips_requested=500.0,
+                    ram_mb=64.0, arrival_s=0)
+    state.pending_tasks.extend([task])
     state.tasks_generated = 1
     step(state)
-    assert not state.completed_tasks and len(state.running_tasks) == 1
+    assert not state.tasks_completed and len(state.running_tasks) == 1
     step(state)
-    assert len(state.completed_tasks) == 1
-    task = state.completed_tasks[0]
+    assert state.tasks_completed == 1 and not state.running_tasks
     assert task.finish_s == pytest.approx(600.0)
     assert not check_sla(task, cfg.sla_slack)
 
@@ -146,7 +146,7 @@ def test_conservation_each_step():
     for _ in range(cfg.step_count):
         step(state)
         total = (len(state.pending_tasks) + len(state.running_tasks)
-                 + len(state.completed_tasks))
+                 + state.tasks_completed)
         assert total == state.tasks_generated
 
 
@@ -241,15 +241,47 @@ def test_time_dependent_mode_runs_and_converges():
     assert run_once(cfg).per_step_rows == report.per_step_rows
 
 
-def test_completed_tasks_time_ordering_invariant():
+def generated_tasks(monkeypatch):
+    """Every task the engine generates from now on, held by the test: the
+    engine keeps no finished task."""
+    tasks = []
+
+    def generate(*args, **kwargs):
+        new = generate_workloads(*args, **kwargs)
+        tasks.extend(new)
+        return new
+
+    generate_workloads = engine.generate_workloads
+    monkeypatch.setattr(engine, "generate_workloads", generate)
+    return tasks
+
+
+def test_completed_tasks_time_ordering_invariant(monkeypatch):
     cfg = small_config(horizon_s=30000,
                        workload=WorkloadGenConfig(lambda_per_interval=3.0))
+    tasks = generated_tasks(monkeypatch)
     state = SimulationState(cfg=cfg, seed=8)
     for _ in range(cfg.step_count):
         step(state)
-    assert state.completed_tasks
-    for task in state.completed_tasks:
+    completed = [task for task in tasks if task.finish_s is not None]
+    assert completed and len(completed) == state.tasks_completed
+    for task in completed:
         assert task.finish_s >= task.start_s >= task.arrival_s
+
+
+def test_finished_tasks_are_released(monkeypatch):
+    """Once a task completes, only the test's own lists refer to it: no
+    list, dict or event of the run keeps it."""
+    cfg = churn_config("thermal", "literal")
+    tasks = generated_tasks(monkeypatch)
+    state = SimulationState(cfg=cfg, seed=1)
+    for _ in range(cfg.step_count):
+        step(state)
+    completed = [task for task in tasks if task.finish_s is not None]
+    assert len(completed) == state.tasks_completed > 0
+    assert any(kind == "sla-violation" for _, kind, _ in state.events)
+    holders = gc.get_referrers(*completed)
+    assert {id(holder) for holder in holders} == {id(tasks), id(completed)}
 
 
 def test_trace_driven_utilization(tmp_path):
@@ -604,7 +636,7 @@ def test_engine_invariants_hold_after_every_step():
                     step(state)
                     assert state.tasks_generated == (
                         len(state.pending_tasks) + len(state.running_tasks)
-                        + len(state.completed_tasks))
+                        + state.tasks_completed)
                     for host in state.hosts:
                         placed = sum(state.vms[v].spec.mips
                                      for v in host.placed_vms)
