@@ -245,13 +245,13 @@ def generated_tasks(monkeypatch):
     """Every task the engine generates from now on, held by the test: the
     engine keeps no finished task."""
     tasks = []
+    original = engine.generate_workloads
 
     def generate(*args, **kwargs):
-        new = generate_workloads(*args, **kwargs)
+        new = original(*args, **kwargs)
         tasks.extend(new)
         return new
 
-    generate_workloads = engine.generate_workloads
     monkeypatch.setattr(engine, "generate_workloads", generate)
     return tasks
 
