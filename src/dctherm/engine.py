@@ -49,7 +49,6 @@ on (config, seed).
 """
 
 import bisect
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -65,7 +64,7 @@ from .utilization import Backlog, bandwidth_need
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
-WALK_KEY = operator.attrgetter("walk_key")
+VM_KEY = utilization.sort_key(is_vm=True)
 
 
 def migration_downtime(ram_mb, bandwidth_bps):
@@ -123,13 +122,14 @@ class SimulationState:
             else:
                 self.waiting.append(spec.id)
         # The placed VMs (VmState, in config order) and their spec means, as
-        # of the waiting list ``placed_for``, and the same VMs in the
-        # mapper's walk order: ascending ``VmState.walk_key``. ``resort``
-        # asks for the walk to be sorted afresh after placement.
+        # of the waiting list ``placed_for``, and the same VMs in the walk
+        # order: ascending ``walk_keys``, their ``VmState.walk_key``s.
+        # ``resort`` asks for the walk to be sorted afresh after placement.
         self.placed_for = None
         self.placed = []
         self.placed_means = None
         self.walk = []
+        self.walk_keys = []
         self.resort = False
         # VMs whose view the next refresh recomputes, and hosts whose
         # utilization, busy flag, reserved MIPS and draws the next power
@@ -191,8 +191,8 @@ def _refresh_vm_views(state):
     dirty.update(traces)
     state.resort = 2 * len(dirty) > len(state.walk)
     move = not state.resort
-    vm_key, index = utilization.sort_key(is_vm=True), state.vm_index
-    vms, walk, mark_host = state.vms, state.walk, state.dirty_hosts.add
+    vms, index, mark_host = state.vms, state.vm_index, state.dirty_hosts.add
+    walk, keys = state.walk, state.walk_keys
     for vm_id in dirty:
         vm = vms[vm_id]
         spec = vm.spec
@@ -212,8 +212,7 @@ def _refresh_vm_views(state):
         if (resource != util.resource or memory_pct != util.memory_pct
                 or network_pct != util.network_pct):
             util = vm.util = UtilizationSnapshot(
-                resource=resource, memory_pct=memory_pct,
-                disk_pct=util.disk_pct, network_pct=network_pct)
+                resource, memory_pct, util.disk_pct, network_pct)
             if vm.host_id:
                 mark_host(vm.host_id)
         # Waiting VMs are assessed at full demand; placed ones at their
@@ -224,15 +223,16 @@ def _refresh_vm_views(state):
         with_vm = energy.dynamic_power(
             min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
         vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
-        key = vm_key(vm) + (index[vm_id],)
+        key = VM_KEY(vm) + (index[vm_id],)
         if move and key != vm.walk_key and vm_id not in waiting:
             # The VM leaves the walk at its old key and rejoins at its new
             # one; unique keys keep the walk sorted.
-            del walk[bisect.bisect_left(walk, vm.walk_key, key=WALK_KEY)]
-            vm.walk_key = key
-            bisect.insort(walk, vm, key=WALK_KEY)
-        else:
-            vm.walk_key = key
+            i = bisect.bisect_left(keys, vm.walk_key)
+            del walk[i], keys[i]
+            i = bisect.bisect_left(keys, key)
+            walk.insert(i, vm)
+            keys.insert(i, key)
+        vm.walk_key = key
     dirty.clear()
 
 
@@ -255,6 +255,7 @@ def _update_placed(state):
         state.resort = True
     if state.resort:
         state.walk = utilization.utilization_sort(state.placed, is_vm=True)
+        state.walk_keys = [vm.walk_key for vm in state.walk]
         state.resort = False
 
 
@@ -363,8 +364,8 @@ def _temperature_phase(state):
             host.temp_result_c = thermal.cpu_temperature(
                 host.dynamic_w, host.spec.thermal, mode, interval,
                 host.current_temp_c)
-        host.current_temp_c = host.temp_result_c
-        series.append(host.current_temp_c)
+        temp = host.current_temp_c = host.temp_result_c
+        series.append(temp)
 
 
 def step(state):
@@ -451,13 +452,13 @@ def step(state):
     state.running_tasks = still_running
 
     # 7. advance the clock and record the per-host rows
-    state.clock_s += interval
-    step_index = state.clock_s // interval
+    clock = state.clock_s = clock + interval
+    step_index = clock // interval
     svr_cum = state.sla_violations / max(1, state.tasks_generated)
-    for host in state.hosts:
-        state.per_step_rows.append((
-            step_index, state.clock_s, host.id, host.current_temp_c,
-            host.power_w, state.energy_j, state.migrations, svr_cum))
+    energy_j, migrations = state.energy_j, state.migrations
+    state.per_step_rows += [
+        (step_index, clock, host.id, host.current_temp_c, host.power_w,
+         energy_j, migrations, svr_cum) for host in state.hosts]
     return state.events[events_before:]
 
 

@@ -12,9 +12,11 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import sys
 import types
 import typing
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .energy import PowerParams
@@ -23,31 +25,29 @@ from .scheduler import registered_policies
 from .thermal import MODES, ThermalClass, ThermalParams
 
 
-@dataclass(frozen=True)
-class UtilizationSnapshot:
+class UtilizationSnapshot(namedtuple(
+        "UtilizationSnapshot", "resource memory_pct disk_pct network_pct")):
     """Point-in-time utilization of one VM.
 
     ``resource`` is a fraction in [0, 1]; the other three are percents in
     [0, 100]. Units are fixed per field to match the formulas that produce
-    them, so conversions stay explicit.
+    them, so conversions stay explicit. A checked tuple: the engine builds
+    one per VM whose reservations changed, on every step.
     """
 
-    resource: float = 0.0
-    memory_pct: float = 0.0
-    disk_pct: float = 0.0
-    network_pct: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        # Written out, not looped over the names: the engine builds one per
-        # VM whose reservations changed, on every step.
-        if not 0.0 <= self.resource <= 1.0:
+    def __new__(cls, resource=0.0, memory_pct=0.0, disk_pct=0.0,
+                network_pct=0.0):
+        if not 0.0 <= resource <= 1.0:
             raise InvalidConfig("resource", "fraction must be in [0, 1]")
-        if not 0.0 <= self.memory_pct <= 100.0:
+        if not 0.0 <= memory_pct <= 100.0:
             raise InvalidConfig("memory_pct", "percent must be in [0, 100]")
-        if not 0.0 <= self.disk_pct <= 100.0:
+        if not 0.0 <= disk_pct <= 100.0:
             raise InvalidConfig("disk_pct", "percent must be in [0, 100]")
-        if not 0.0 <= self.network_pct <= 100.0:
+        if not 0.0 <= network_pct <= 100.0:
             raise InvalidConfig("network_pct", "percent must be in [0, 100]")
+        return tuple.__new__(cls, (resource, memory_pct, disk_pct, network_pct))
 
 
 # Most cores a host may declare: well above any two-socket server, and low
@@ -98,9 +98,8 @@ class HostState:
     temp_inputs: tuple | None = None   # (dynamic_w, start temperature) and
     temp_result_c: float = 0.0    # the result of the last temperature step
 
-    @property
-    def id(self):
-        return self.spec.id
+    def __post_init__(self):
+        self.id = self.spec.id    # a plain attribute: read without a call
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,8 @@ class VmState:
     reserved_bw_bps: float = 0.0
     paused_until_s: float = 0.0     # migration downtime window end
 
-    @property
-    def id(self):
-        return self.spec.id
+    def __post_init__(self):
+        self.id = self.spec.id    # a plain attribute: read without a call
 
 
 @dataclass(slots=True)
@@ -204,6 +202,8 @@ class WorkloadGenConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidConfig(name, "range must be (low, high)")
+            if not float(hi) - float(lo) <= sys.float_info.max:
+                raise InvalidConfig(name, "range width must be finite")
         # Every drawn task must be valid: a positive length and MIPS demand,
         # no negative RAM or file size.
         for name, low, reason in (
@@ -393,17 +393,33 @@ def config_from_dict(data):
     return validate_config(_from_json(DataCenterConfig, data, ""))
 
 
+@functools.cache
+def _json_plan(cls):
+    """A dataclass's field names in sorted order, one getter that reads
+    them all (a tuple: every config class has two or more fields), and the
+    positions of the fields that hold more than a leaf (a dataclass or a
+    tuple); None for a class that is not a dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    schema = _schema(cls)
+    names = sorted(schema)
+    leaves = (str, int, float, str | None, int | None, float | None)
+    return names, operator.attrgetter(*names), [
+        i for i, name in enumerate(names) if schema[name][0] not in leaves]
+
+
 def _to_json(value):
-    # Leaves first: they are most of a config's values, and
-    # is_dataclass is the slowest of the three tests.
-    if value is None or isinstance(value, (str, int, float)):
-        return value
+    """A dataclass as a dict, keys in sorted order; a tuple as a list."""
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {name: _to_json(getattr(value, name))
-                for name in _schema(type(value))}
-    return value
+    plan = _json_plan(type(value))
+    if plan is None:
+        return value
+    names, get, nested = plan
+    values = list(get(value))
+    for i in nested:
+        values[i] = _to_json(values[i])
+    return dict(zip(names, values))
 
 
 def config_to_dict(cfg):
@@ -432,8 +448,11 @@ def save_config(cfg, path):
 
 
 def config_digest(cfg):
-    """Stable hash of the full configuration, for run provenance."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Stable hash of the full configuration, for run provenance. The
+    dicts' keys are in sorted order already, and a fresh tree of dicts and
+    lists has no cycles: neither ``sort_keys`` nor the circular check."""
+    canon = json.dumps(config_to_dict(cfg), separators=(",", ":"),
+                       check_circular=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

@@ -25,18 +25,19 @@ from .errors import InvalidConfig, UnknownPolicy
 from .thermal import ThermalClass, classify_vm
 
 
-@dataclass(frozen=True)
-class PlacementAction:
-    kind: str               # "allocate" | "migrate" | "none"
-    vm_id: str
-    dst_host: str
-    src_host: str = None
+class PlacementAction(namedtuple("PlacementAction",
+                                 "kind vm_id dst_host src_host")):
+    """A placement ("allocate", "migrate" or "none"): a checked tuple, cheap
+    to build, as a run's first round places every VM."""
 
-    def __post_init__(self):
-        if self.kind not in ("allocate", "migrate", "none"):
-            raise InvalidConfig("kind", f"unknown action kind {self.kind!r}")
-        if self.kind == "migrate" and self.src_host == self.dst_host:
+    __slots__ = ()
+
+    def __new__(cls, kind, vm_id, dst_host, src_host=None):
+        if kind not in ("allocate", "migrate", "none"):
+            raise InvalidConfig("kind", f"unknown action kind {kind!r}")
+        if kind == "migrate" and src_host == dst_host:
             raise InvalidConfig("dst_host", "migration needs src != dst")
+        return tuple.__new__(cls, (kind, vm_id, dst_host, src_host))
 
 
 @dataclass
@@ -101,8 +102,7 @@ def _place(vm, host_id, residual):
         kind = "migrate"
     else:
         kind = "none"
-    return PlacementAction(kind=kind, vm_id=vm.id, dst_host=host_id,
-                           src_host=vm.host_id)
+    return PlacementAction(kind, vm.id, host_id, vm.host_id)
 
 
 def schedule_round(snapshot, qs, tie_break="id"):

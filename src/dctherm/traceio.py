@@ -10,16 +10,19 @@ byte-identical files. Their rows hold only ints, strings and builtin
 floats, each row written as ``_csv_line`` prints it: its values' ``str``
 (for a float, its shortest round-trip text, its ``repr``) joined by
 commas. per_step.csv's lines come from ``_per_step_lines``, which prints
-the same bytes at a fraction of the cost.
+the same bytes, a step at a time, at a fraction of the cost.
 """
 
 import csv
+import functools
 import io
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .energy import ordered_sum
 from .errors import DomainError, IoError, ParseError, SchemaError
@@ -106,7 +109,7 @@ def _write_csv(path, header, lines):
 
 
 def _per_step_lines(rows):
-    """Yield ``_csv_line(row)`` for each per-step row, formatting less.
+    """Yield each step's ``_csv_line`` texts, joined, formatting less.
 
     A step's rows share their step, clock, energy, migrations and SVR
     objects, and a host whose temperature step was cached repeats its last
@@ -119,20 +122,26 @@ def _per_step_lines(rows):
     unset = object()
     step_ = clock_ = energy_ = migrations_ = svr_ = unset
     head = tail = ""
+    texts = []          # this step's host texts, in row order
     host_texts = {}     # host_id -> (host_id, temp_c, power_w, text)
+    cached, append = host_texts.get, texts.append
     for step, clock, host_id, temp, power, energy, migrations, svr in rows:
         if not (step is step_ and clock is clock_ and energy is energy_
                 and migrations is migrations_ and svr is svr_):
+            if texts:
+                yield head + (tail + head).join(texts) + tail
+                texts.clear()
             step_, clock_, energy_, migrations_, svr_ = \
                 step, clock, energy, migrations, svr
             head = f"{step},{clock},"
             tail = f",{energy},{migrations},{svr}\n"
-        last = host_texts.get(host_id)
+        last = cached(host_id)
         if last is None or not (last[0] is host_id and last[1] is temp
                                 and last[2] is power):
             last = host_texts[host_id] = (
                 host_id, temp, power, f"{host_id},{temp},{power}")
-        yield head + last[3] + tail
+        append(last[3])
+    yield head + (tail + head).join(texts) + tail     # "" for no rows
 
 
 def load_planetlab_trace(path):
@@ -206,28 +215,37 @@ def save_telemetry_csv(records, path):
         for rec in records))
 
 
+@functools.lru_cache(maxsize=16)
+def _draw_bounds(wgcfg):
+    """Low ends and widths of the six uniform ranges, in draw order; kept,
+    as building the arrays costs more than a step's draw."""
+    lows, highs = np.array((wgcfg.length_scale, wgcfg.mips_range,
+                            wgcfg.file_scale, wgcfg.output_scale,
+                            wgcfg.ram_range, wgcfg.cost_range), dtype=float).T
+    return lows, highs - lows
+
+
 def generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
     """Draw ``count`` workloads from the configured uniform ranges.
 
     One block draw takes six uniforms per workload in a fixed order
-    (length, mips, file, output, ram, cost), row by row: the same doubles
-    in the same order as six scalar draws per workload, so a given rng
-    state always yields the same list and leaves the rng in the same
-    state. ``tolist`` turns them into Python floats, as the scalar draws
-    return, so report files print them the same way.
+    (length, mips, file, output, ram, cost), row by row, and computes each
+    as ``rng.uniform`` does, ``low + width * u``: the same doubles in the
+    same order as six scalar draws per workload, so a given rng state
+    always yields the same list and leaves the rng in the same state.
+    ``tolist`` turns them into Python floats, as the scalar draws return.
     """
     if count < 0:
         raise ParseError("count must be >= 0")
-    ranges = (wgcfg.length_scale, wgcfg.mips_range, wgcfg.file_scale,
-              wgcfg.output_scale, wgcfg.ram_range, wgcfg.cost_range)
-    draws = rng.uniform([lo for lo, _ in ranges], [hi for _, hi in ranges],
-                        size=(count, len(ranges))).tolist()
+    lows, widths = _draw_bounds(wgcfg)
+    draws = (rng.random((count, 6)) * widths + lows).tolist()
     length_base, file_base = wgcfg.length_base_mi, wgcfg.file_base_mb
     output_base = wgcfg.output_base_mb
-    return [Workload(id=f"wl-{id_offset + i}", length_mi=length_base * length,
-                     mips_requested=mips, file_size_mb=file_base * file_u,
-                     output_size_mb=output_base * output_u, ram_mb=ram,
-                     cost_cd=cost, arrival_s=arrival_s)
+    # Positional, in field order: keywords cost more than the rest of a
+    # Workload's construction.
+    return [Workload(f"wl-{id_offset + i}", length_base * length, mips,
+                     file_base * file_u, output_base * output_u, ram, cost,
+                     arrival_s)
             for i, (length, mips, file_u, output_u, ram, cost)
             in enumerate(draws)]
 

@@ -237,7 +237,7 @@ class Backlog:
         """Add newly arrived tasks. Each task object is held once: passing
         one that is already pending is not supported."""
         self.inbox += tasks
-        self.tasks.update((id(task), task) for task in tasks)
+        self.tasks.update(zip(map(id, tasks), tasks))
 
     def take(self, vms, means, interval_s):
         """Map the backlog onto ``vms``, in walk order (whose spec means are

@@ -4,7 +4,10 @@ The scheduling interpreters are coded apart from the library
 (comparator-driven insertion sort, literal queue lists) so the main
 implementations are checked against a second reading of the same
 pseudocode, not against themselves. The workload generator's oracle
-draws each task's six uniforms one scalar call at a time. The delta-T
+draws each task's six uniforms one scalar call at a time; the raw draws'
+oracle is one ``rng.uniform`` call over the six ranges' low and high ends.
+The config digest's oracle walks the dataclasses field by field and lets
+``json.dumps`` sort the keys. The delta-T
 oracle takes the difference of two temperature evaluations. The engine's
 VM views and host figures are recomputed from scratch for every VM and
 host, as the engine's refresh and power phase did before they worked only
@@ -13,6 +16,9 @@ the original per-gate arithmetic, and central finite differences of the
 network output.
 """
 
+import dataclasses
+import hashlib
+import json
 from functools import reduce
 from operator import add
 
@@ -21,7 +27,7 @@ import numpy as np
 from dctherm import energy
 from dctherm.energy import dynamic_power
 from dctherm.gru import PARAM_NAMES
-from dctherm.model import Workload
+from dctherm.model import DataCenterConfig, Workload
 from dctherm.thermal import ThermalClass, cpu_temperature
 
 
@@ -41,6 +47,37 @@ def oracle_generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
             file_size_mb=file_mb, output_size_mb=output_mb, ram_mb=ram,
             cost_cd=cost, arrival_s=arrival_s))
     return out
+
+
+def oracle_uniform_draws(wgcfg, rng, count):
+    """``count`` rows of the six uniforms (length, mips, file, output, ram,
+    cost) from one ``rng.uniform`` call, as lists of floats."""
+    ranges = (wgcfg.length_scale, wgcfg.mips_range, wgcfg.file_scale,
+              wgcfg.output_scale, wgcfg.ram_range, wgcfg.cost_range)
+    return rng.uniform([lo for lo, _ in ranges], [hi for _, hi in ranges],
+                       size=(count, len(ranges))).tolist()
+
+
+def oracle_config_dict(value):
+    """A config as JSON data, field by field: a dataclass as a dict in
+    field order, a tuple as a list; the top-level workload is left out
+    when it is None."""
+    if isinstance(value, tuple):
+        return [oracle_config_dict(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        out = {f.name: oracle_config_dict(getattr(value, f.name))
+               for f in dataclasses.fields(value)}
+        if isinstance(value, DataCenterConfig) and value.workload is None:
+            del out["workload"]
+        return out
+    return value
+
+
+def oracle_config_digest(cfg):
+    """sha256 of the config's JSON with keys sorted by ``json.dumps``."""
+    canon = json.dumps(oracle_config_dict(cfg), sort_keys=True,
+                       separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def oracle_vm_delta_temperature(vm_power_w, host_power_w, tp, mode, dt_s):

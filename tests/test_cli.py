@@ -347,9 +347,11 @@ def test_malformed_config_exit_2_without_traceback(tmp_path):
         ({"hosts": [{"id": "pm-0", "cores": 10 ** 12}]}, "hosts[0].cores"),
     ]
     # Ranges that once passed load and failed at the first arrival (or,
-    # with no arrivals, ran and exited 0).
+    # with no arrivals, ran and exited 0). The last one's width overflows a
+    # double: numpy's uniform draw raised OverflowError, a traceback (exit 1).
     for field, value in (("mips_range", [-5, -1]), ("ram_range", [-50, -10]),
-                         ("length_scale", [0, 0])):
+                         ("length_scale", [0, 0]),
+                         ("cost_range", [-1.7e308, 1.7e308])):
         cases.append(({"hosts": [host], "vms": [{"id": "vm-0",
                                                   "host_id": "pm-0"}],
                        "workload": {"lambda_per_interval": 5.0,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -102,6 +103,47 @@ def test_config_round_trip(tmp_path):
     # The digest is run provenance: a loader or writer change must not move it.
     assert model.config_digest(cfg) == \
         "2cb58911d524c9062d401fd9d73d98ed9713b53b95da7b2bb09e0383fb38bf6b"
+
+
+def test_config_digest_matches_sorted_json_oracle(tmp_path):
+    import json
+
+    import numpy as np
+    from oracles import oracle_config_dict, oracle_config_digest
+    from test_engine import random_config
+    rng = np.random.default_rng(2026)
+    configs = [random_config(rng) for _ in range(25)]
+    base = configs[0]
+    host = base.hosts[0]
+    configs += [
+        # A power field of -0.0 prints as -0.0, not as 0.0.
+        dataclasses.replace(base, hosts=(dataclasses.replace(
+            host, power=energy.PowerParams(leakage_w=-0.0)),)),
+        # theta_vl_c and theta_vh_c left None.
+        dataclasses.replace(base, hosts=(dataclasses.replace(
+            host, thermal=dataclasses.replace(
+                host.thermal, theta_vl_c=None, theta_vh_c=None)),)),
+        # A non-ASCII host id, escaped as json.dumps escapes it.
+        dataclasses.replace(base, vms=(), hosts=(dataclasses.replace(
+            host, id="pm-\u00e9\u6771-0"),)),
+        dataclasses.replace(base, workload=None),
+        dataclasses.replace(base, trace_dir="traces/vm-\u00e9"),
+        model.default_datacenter(seed=99, policy="thermal+utilization",
+                                 workload=model.WorkloadGenConfig(count=120)),
+    ]
+    for i, cfg in enumerate(configs):
+        oracle = oracle_config_dict(cfg)
+        assert model.config_to_dict(cfg) == oracle
+        assert model.config_digest(cfg) == oracle_config_digest(cfg) \
+            == hashlib.sha256(json.dumps(
+                model.config_to_dict(cfg), sort_keys=True,
+                separators=(",", ":")).encode("utf-8")).hexdigest()
+        # save_config writes the same bytes as the oracle's sorted dump.
+        path = tmp_path / f"cfg{i}.json"
+        model.save_config(cfg, path)
+        assert path.read_text(encoding="utf-8") \
+            == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    assert "-0.0" in json.dumps(model.config_to_dict(configs[25]))
 
 
 def test_unknown_keys_fail_fast():

@@ -156,6 +156,40 @@ def test_block_draws_match_scalar_draws():
             assert rng.random() == oracle_rng.random()
 
 
+def test_block_draws_match_rng_uniform_bit_for_bit():
+    # With unit bases every drawn value lands in a Workload field as drawn,
+    # so each one, and the rng state after the draw, can be held against
+    # one rng.uniform call over the same ranges.
+    from oracles import oracle_uniform_draws
+    unit = dict(length_base_mi=1.0, file_base_mb=1.0, output_base_mb=1.0)
+    configs = (
+        WorkloadGenConfig(**unit),
+        # Integer bounds, as a JSON config may give them.
+        WorkloadGenConfig(**unit, mips_range=(100, 500), ram_range=(0, 512)),
+        # Degenerate ranges: low == high.
+        WorkloadGenConfig(**unit, length_scale=(1.2, 1.2),
+                          mips_range=(300.0, 300.0), file_scale=(0.0, 0.0),
+                          cost_range=(3, 3)),
+        # Wide ranges whose widths are still finite.
+        WorkloadGenConfig(**unit, mips_range=(1e-300, 1.7e308),
+                          ram_range=(0.0, 1.7e308),
+                          cost_range=(-8.5e307, 8.5e307)),
+    )
+    for cfg in configs:
+        for seed in range(8):
+            rng, oracle_rng = (np.random.default_rng(seed),
+                               np.random.default_rng(seed))
+            for count in range(1, 201):
+                got = [(w.length_mi, w.mips_requested, w.file_size_mb,
+                        w.output_size_mb, w.ram_mb, w.cost_cd)
+                       for w in traceio.generate_workloads(cfg, rng, count)]
+                want = oracle_uniform_draws(cfg, oracle_rng, count)
+                assert got == [tuple(row) for row in want]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                assert rng.bit_generator.state \
+                    == oracle_rng.bit_generator.state
+
+
 def test_gen_workload_csv_bytes_match_scalar_draws(tmp_path):
     # One block of 300 tasks, printed through the report CSV writer, gives
     # the same bytes as the scalar oracle's draws from the same seed.
@@ -227,10 +261,15 @@ def test_write_report_read_only_dir(tmp_path):
 
 # --- per_step.csv lines ------------------------------------------------------
 # The oracle is the plain form every other CSV uses: each value's str,
-# joined by commas.
+# joined by commas. The writer yields one chunk per step, so the two are
+# compared as the text they write.
 
 def plain_lines(rows):
     return [",".join(map(str, row)) + "\n" for row in rows]
+
+
+def per_step_text(rows):
+    return "".join(traceio._per_step_lines(rows))
 
 
 def test_per_step_lines_match_plain_lines_on_golden_runs(tmp_path):
@@ -247,7 +286,9 @@ def test_per_step_lines_match_plain_lines_on_golden_runs(tmp_path):
                             .per_step_rows)
     reused = 0
     for rows in runs:
-        assert list(traceio._per_step_lines(rows)) == plain_lines(rows)
+        assert per_step_text(rows) == "".join(plain_lines(rows))
+        # One chunk per step: a step's rows share their step-wide values.
+        assert len(list(traceio._per_step_lines(rows))) == rows[-1][0]
         last = {}
         for row in rows:
             reused += last.get(row[2]) == (id(row[3]), id(row[4]))
@@ -265,9 +306,9 @@ def test_per_step_lines_tell_signed_zeros_apart():
     values = (zero, neg, other_neg, other_zero, other_zero)
     rows = [(step, 300 * step, "pm-0", value, value, 1.5, 0, 0.0)
             for step, value in enumerate(values, start=1)]
-    lines = list(traceio._per_step_lines(rows))
-    assert lines == plain_lines(rows)
-    assert [line.split(",")[3] for line in lines] == \
+    text = per_step_text(rows)
+    assert text == "".join(plain_lines(rows))
+    assert [line.split(",")[3] for line in text.splitlines()] == \
         ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
 
 
@@ -279,7 +320,7 @@ def test_per_step_lines_equal_but_distinct_objects():
     rows = [(1, 300, hosts[0], temps[0], 9.5, 2.0, 0, 0.0),
             (2, 600, hosts[1], temps[1], 9.5, 2.0, 0, 0.0),
             (3, 900, hosts[1], 21.25, float("9.5"), 2.0, 0, 0.0)]
-    assert list(traceio._per_step_lines(rows)) == plain_lines(rows)
+    assert per_step_text(rows) == "".join(plain_lines(rows))
 
 
 def test_per_step_lines_negative_zero_energy():
@@ -290,9 +331,10 @@ def test_per_step_lines_negative_zero_energy():
     rows = [(step, clock, "pm-0", 20.0, 5.0, zero, migrations, svr),
             (step, clock, "pm-1", 21.0, 6.0, zero, migrations, svr),
             (step, clock, "pm-2", 22.0, 7.0, neg, migrations, svr)]
-    lines = list(traceio._per_step_lines(rows))
-    assert lines == plain_lines(rows)
-    assert [line.split(",")[5] for line in lines] == ["0.0", "0.0", "-0.0"]
+    text = per_step_text(rows)
+    assert text == "".join(plain_lines(rows))
+    assert [line.split(",")[5] for line in text.splitlines()] == \
+        ["0.0", "0.0", "-0.0"]
 
 
 def test_summarize_rejects_foreign_header(tmp_path):

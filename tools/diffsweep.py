@@ -9,12 +9,14 @@ the generators of the checkout holding this script, loaded by file path:
 ``tests/test_engine.py::random_config`` (``--configs`` configs x 4 policies
 x 2 thermal modes, 30 steps each, each run once on synthetic load and once
 replaying the traces of ``tests/test_golden.py::write_traces``, written to
-a temporary directory) and ``perfbench/workloads.py``'s fleet, overload and
+one temporary directory for both sides, as its path is part of the config
+digest) and ``perfbench/workloads.py``'s fleet, overload and
 churn configs at each of ``--seeds``. Every run is reduced to
 one sha256 over the digest of its (events, per-step rows, summary row), as
-in ``tests/test_golden.py``, and the sha256 of the ``summary.csv`` and
-``per_step.csv`` its side's ``traceio.write_report`` writes, so a change to
-the report writer shows too. At each of ``--seeds`` it also runs perfbench's
+in ``tests/test_golden.py``, and the sha256 of the ``summary.csv``,
+``per_step.csv`` and ``manifest.json`` its side's ``traceio.write_report``
+writes, so a change to the report writer or to the config digest shows
+too. At each of ``--seeds`` it also runs perfbench's
 train protocol (``synthesize_windows`` -> ``interleaved_split`` ->
 ``train_predictor`` -> ``save_model``, with ``perfbench/workloads.py``'s
 constants), reduced to one sha256 over the loss history, the test accuracy
@@ -76,13 +78,12 @@ def _runs(configs, seeds, trace_dir):
 
 def run_digest(report, out_dir):
     """sha256 over the report's in-memory digest and the sha256 of the
-    summary.csv and per_step.csv it writes to ``out_dir``."""
+    summary.csv, per_step.csv and manifest.json it writes to ``out_dir``."""
     from dctherm import traceio
     from test_golden import report_digest
 
-    summary_path, per_step_path, _ = traceio.write_report(report, out_dir)
     parts = [report_digest(report)]
-    for path in (summary_path, per_step_path):
+    for path in traceio.write_report(report, out_dir):
         parts.append(hashlib.sha256(pathlib.Path(path).read_bytes())
                      .hexdigest())
     return hashlib.sha256(" ".join(parts).encode("ascii")).hexdigest()
@@ -110,8 +111,9 @@ def train_digest(seed, out_dir):
     return digest.hexdigest()
 
 
-def run_side(configs, seeds):
-    """Print one JSON line per run: [name, digest, evicted, migrated]."""
+def run_side(configs, seeds, trace_dir):
+    """Print one JSON line per run: [name, digest, evicted, migrated]. The
+    traced runs replay the files this side writes to ``trace_dir``."""
     sys.path.insert(0, str(ROOT / "tests"))   # test_engine imports siblings
     from dctherm import engine
     from test_golden import write_traces
@@ -120,11 +122,9 @@ def run_side(configs, seeds):
     if src not in pathlib.Path(engine.__file__).resolve().parents:
         sys.exit(f"dctherm was imported from {engine.__file__}, not {src}")
 
+    write_traces(pathlib.Path(trace_dir))
     with tempfile.TemporaryDirectory() as work:
-        trace_dir = os.path.join(work, "traces")
         out_dir = os.path.join(work, "report")
-        os.mkdir(trace_dir)
-        write_traces(pathlib.Path(trace_dir))
         for name, cfg in _runs(configs, seeds, trace_dir):
             report = engine.run_once(cfg)
             evicted = any(kind == "overheat-evict"
@@ -136,10 +136,10 @@ def run_side(configs, seeds):
                               train_digest(seed, work), False, False]))
 
 
-def side_results(root, configs, seeds):
+def side_results(root, configs, seeds, trace_dir):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(root).resolve() / "src"))
     command = [sys.executable, __file__, "--side", "--configs", str(configs),
-               "--seeds", *map(str, seeds)]
+               "--trace-dir", trace_dir, "--seeds", *map(str, seeds)]
     out = subprocess.run(command, env=env, check=True, text=True,
                          stdout=subprocess.PIPE).stdout
     return {name: rest for name, *rest in map(json.loads, out.splitlines())}
@@ -155,14 +155,16 @@ def main(argv=None):
                         help="perfbench seeds (simulations and train)")
     parser.add_argument("--side", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--trace-dir", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.side:
-        run_side(args.configs, args.seeds)
+        run_side(args.configs, args.seeds, args.trace_dir)
         return 0
     if len(args.roots) != 2:
         parser.error("give two checkout roots")
-    before, after = (side_results(root, args.configs, args.seeds)
-                     for root in args.roots)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        before, after = (side_results(root, args.configs, args.seeds,
+                                      trace_dir) for root in args.roots)
     mismatches = sorted(name for name in before.keys() | after.keys()
                         if before.get(name, [None])[0]
                         != after.get(name, [None])[0])
