@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from dctherm import energy, model
@@ -106,9 +108,6 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_digest_matches_sorted_json_oracle(tmp_path):
-    import json
-
-    import numpy as np
     from oracles import oracle_config_dict, oracle_config_digest
     from test_engine import random_config
     rng = np.random.default_rng(2026)
