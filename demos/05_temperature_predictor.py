@@ -21,7 +21,7 @@ print(f"  nominal rpm  : {predictor.fan_rpm(avg, temp):.1f}")
 print(f"  spread (band): {predictor.fan_rpm_band(avg, temp):.3f}")
 fans = predictor.sample_fan_speeds(predictor.fan_rpm(avg, temp),
                                    predictor.fan_rpm_band(avg, temp),
-                                   np.random.default_rng(0))
+                                   np.random.default_rng(0).random(5))
 print(f"  sampled fans : {np.round(fans, 1)}")
 
 print("\n== synthesize windows and train (small, fast settings) ==")

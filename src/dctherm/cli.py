@@ -2,7 +2,7 @@
 
 Subcommands: simulate, train-predictor, predict, report.
 Exit codes: 0 success, 2 configuration error, 3 io/parse error or any
-other OSError, 4 numeric failure.
+other OSError, 4 numeric failure. Each handler imports the modules it uses.
 """
 
 import argparse
@@ -11,12 +11,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import engine, predictor, traceio
 from .errors import (DcthermError, DomainError, InvalidConfig, IoError,
                      NonFiniteLoss, ParseError, SchemaError, UnknownPolicy)
-from .model import load_config
 from .scheduler import registered_policies
 
 EXIT_OK = 0
@@ -73,7 +69,8 @@ def build_parser():
 
 
 def _cmd_simulate(args):
-    cfg = load_config(args.config)
+    from . import engine, model, traceio
+    cfg = model.load_config(args.config)
     overrides = {}
     if args.policy is not None:
         overrides["policy"] = args.policy
@@ -99,7 +96,9 @@ def _cmd_simulate(args):
 
 
 def _windows_from_args(args):
+    from . import predictor
     if args.data:
+        from . import traceio
         records = traceio.load_telemetry_csv(args.data)
         windows = predictor.sliding_windows(records)
         test_count = args.test_count or max(1, len(windows) // 11)
@@ -130,6 +129,7 @@ def _check_out_path(path, is_dir=False):
 
 
 def _cmd_train(args):
+    from . import predictor
     _check_out_path(args.out)
     train_seqs, test_seqs = _windows_from_args(args)
     settings = predictor.TrainSettings(epochs=args.epochs, seed=args.seed)
@@ -144,11 +144,12 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
+    from . import predictor, traceio
     model = predictor.load_model(args.model)
     records = traceio.load_telemetry_csv(args.data)
     preds, actuals = predictor.predict_records(model, records)
     accuracy = predictor.prediction_accuracy(preds, actuals, args.epsilon)
-    errors = np.abs(preds - actuals)
+    errors = abs(preds - actuals)
     print(f"windows={len(preds)} accuracy={accuracy:.4f} "
           f"(epsilon={args.epsilon:g} relative)")
     print(f"mean_abs_error={errors.mean():.3f}C max_abs_error={errors.max():.3f}C")
@@ -156,6 +157,7 @@ def _cmd_predict(args):
 
 
 def _cmd_report(args):
+    from . import traceio
     summary = traceio.summarize_per_step(os.path.join(args.run_dir, "per_step.csv"))
     # SVR as run_once defines it, counting tasks unfinished at the horizon;
     # per_step.csv's svr_cum counts only finished tasks.

@@ -27,9 +27,6 @@ from .gru import FeatureNorm, GruModel
 from .thermal import ThermalParams, cpu_temperature
 
 N_FEATURES = 9
-FEATURE_COLUMNS = ("f1", "f2", "f3", "f4", "f5",
-                   "system_pct", "memory_pct", "cpu_pct", "io_pct")
-CSV_COLUMNS = ("server_id", "timestamp") + FEATURE_COLUMNS + ("cpu_temp_c",)
 
 MODEL_MAGIC = b"DCTHGRU1"
 MODEL_VERSION = 1
@@ -96,11 +93,16 @@ def fan_rpm_band(avg_util_pct, temp_c, fm=FanModel()):
     return fm.alpha * (fm.d_util_pct * temp_c + avg_util_pct * fm.d_temp_c)
 
 
-def sample_fan_speeds(rpm, band, rng):
-    """Five independent uniform draws in [rpm - band/2, rpm + band/2]."""
+def sample_fan_speeds(rpm, band, uniforms):
+    """Fan speeds uniform in [rpm - band/2, rpm + band/2], one for each
+    draw in [0, 1) of ``uniforms`` (such as ``rng.random(5)``)."""
     if band < 0:
         raise DomainError("band must be >= 0")
-    return rng.uniform(rpm - band / 2.0, rpm + band / 2.0, 5)
+    low = rpm - band / 2.0
+    width = (rpm + band / 2.0) - low
+    if not math.isfinite(width):
+        raise DomainError(f"fan band {band} around {rpm} RPM is not finite")
+    return tuple(low + width * u for u in uniforms)
 
 
 def prediction_accuracy(preds, actuals, epsilon_rel=0.05):
@@ -129,26 +131,36 @@ def synthesize_telemetry(n_servers, records_per_server, rng,
     temperature comes from the RC model driven by the dynamic power at the
     CPU utilization, jittered by the stated +-1 C / +-1% precisions; fans
     come from the rpm/band model.
+
+    Each server's uniforms come from one ``rng.random`` block, mapped as
+    ``Generator.uniform`` maps them (``low + (high - low) * u``) in the order
+    of one ``uniform`` call per quantity: 4 start utilizations, then per
+    record the walk (4), noise (4), temperature jitter (1) and fans (5).
     """
+    noise_low, noise_width = -fan.d_util_pct, 2.0 * fan.d_util_pct
+    jitter_low, jitter_width = -fan.d_temp_c, 2.0 * fan.d_temp_c
     records = []
     for s in range(n_servers):
-        utils = rng.uniform(20.0, 80.0, 4)
+        draws = rng.random(4 + 14 * records_per_server).tolist()
+        utils = [20.0 + 60.0 * u for u in draws[:4]]
         for t in range(records_per_server):
-            utils = np.clip(utils + rng.uniform(-6.0, 6.0, 4), 0.0, 100.0)
-            noisy = np.clip(utils + rng.uniform(-fan.d_util_pct, fan.d_util_pct, 4),
-                            0.0, 100.0)
-            power = dynamic_power(noisy[2] / 100.0, dyn)
-            temp = cpu_temperature(power, thermal)
-            temp += rng.uniform(-fan.d_temp_c, fan.d_temp_c)
-            avg = float(np.mean(noisy))
+            d = draws[4 + 14 * t:18 + 14 * t]
+            utils = [min(max(x + (-6.0 + 12.0 * u), 0.0), 100.0)
+                     for x, u in zip(utils, d[:4])]
+            system, memory, cpu, io = [
+                min(max(x + (noise_low + noise_width * u), 0.0), 100.0)
+                for x, u in zip(utils, d[4:8])]
+            power = dynamic_power(cpu / 100.0, dyn)
+            temp = (cpu_temperature(power, thermal)
+                    + (jitter_low + jitter_width * d[8]))
+            avg = (system + memory + cpu + io) / 4.0
             rpm = fan_rpm(avg, temp, fan)
             band = fan_rpm_band(avg, temp, fan)
-            fans = tuple(float(f) for f in sample_fan_speeds(rpm, band, rng))
             records.append(TelemetryRecord(
                 server_id=f"srv-{s}", timestamp=str(t),
-                fan_rpm=fans, system_pct=float(noisy[0]),
-                memory_pct=float(noisy[1]), cpu_pct=float(noisy[2]),
-                io_pct=float(noisy[3]), cpu_temp_c=float(temp)))
+                fan_rpm=sample_fan_speeds(rpm, band, d[9:14]),
+                system_pct=system, memory_pct=memory, cpu_pct=cpu,
+                io_pct=io, cpu_temp_c=temp))
     return records
 
 

@@ -68,6 +68,9 @@ class ThermalParams:
             raise InvalidConfig("r_kw", "must be > 0")
         if self.c_jk <= 0:
             raise InvalidConfig("c_jk", "must be > 0")
+        # Both temperature formulas divide by R*C, which can underflow to 0.
+        if not self.r_kw * self.c_jk > 0:
+            raise InvalidConfig("c_jk", "r_kw * c_jk must be > 0")
         if not (self.t_normal_c < self.t_danger_c < self.t_over_c):
             raise InvalidConfig(
                 "thermal", "requires t_normal < t_danger < t_over")

@@ -27,7 +27,6 @@ import numpy as np
 from .energy import ordered_sum
 from .errors import DomainError, IoError, ParseError, SchemaError
 from .model import MAX_ARRIVAL_RATE, Workload
-from .predictor import CSV_COLUMNS, TelemetryRecord
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +38,9 @@ SUMMARY_FIELDS = ("seed", "total_energy_kwh", "svr", "migrations",
 SUMMARY_HEADER = ("label", *SUMMARY_FIELDS)
 PER_STEP_HEADER = ("step", "clock_s", "host_id", "temp_c", "power_w",
                    "energy_j_cum", "migrations_cum", "svr_cum")
+FEATURE_COLUMNS = ("f1", "f2", "f3", "f4", "f5",
+                   "system_pct", "memory_pct", "cpu_pct", "io_pct")
+CSV_COLUMNS = ("server_id", "timestamp") + FEATURE_COLUMNS + ("cpu_temp_c",)
 
 
 @dataclass(frozen=True)
@@ -183,6 +185,9 @@ def _timestamp_key(text):
 def load_telemetry_csv(path):
     """Read a telemetry CSV with the exact documented header; returns its
     TelemetryRecords in file order, time-ordered within each server."""
+    # Imported here so that the simulator's modules never load the predictor.
+    from .predictor import TelemetryRecord
+
     records = []
     last_ts = {}
     for row_no, row in _csv_rows(path, "telemetry", CSV_COLUMNS):

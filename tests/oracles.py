@@ -6,6 +6,8 @@ implementations are checked against a second reading of the same
 pseudocode, not against themselves. The workload generator's oracle
 draws each task's six uniforms one scalar call at a time; the raw draws'
 oracle is one ``rng.uniform`` call over the six ranges' low and high ends.
+The telemetry synthesizer's oracle makes one ``rng.uniform`` call per
+quantity and works on numpy arrays, record by record.
 The config digest's oracle walks the dataclasses field by field and lets
 ``json.dumps`` sort the keys. The delta-T
 oracle takes the difference of two temperature evaluations. The engine's
@@ -27,8 +29,10 @@ import numpy as np
 from dctherm import energy
 from dctherm.energy import dynamic_power
 from dctherm.gru import PARAM_NAMES
+from dctherm.errors import DomainError
 from dctherm.model import DataCenterConfig, Workload
-from dctherm.thermal import ThermalClass, cpu_temperature
+from dctherm.predictor import FanModel, TelemetryRecord, fan_rpm, fan_rpm_band
+from dctherm.thermal import ThermalClass, ThermalParams, cpu_temperature
 
 
 def oracle_generate_workloads(wgcfg, rng, count, arrival_s=0, id_offset=0):
@@ -56,6 +60,42 @@ def oracle_uniform_draws(wgcfg, rng, count):
               wgcfg.output_scale, wgcfg.ram_range, wgcfg.cost_range)
     return rng.uniform([lo for lo, _ in ranges], [hi for _, hi in ranges],
                        size=(count, len(ranges))).tolist()
+
+
+def oracle_fan_speeds(rpm, band, rng):
+    """Five independent uniform draws in [rpm - band/2, rpm + band/2]."""
+    if band < 0:
+        raise DomainError("band must be >= 0")
+    return rng.uniform(rpm - band / 2.0, rpm + band / 2.0, 5)
+
+
+def oracle_synthesize_telemetry(n_servers, records_per_server, rng,
+                                thermal=ThermalParams(),
+                                dyn=energy.DynamicEnergyParams(),
+                                fan=FanModel()):
+    """Per server a uniform start, then per record a utilization walk
+    step, utilization noise, temperature jitter and five fan speeds, each
+    one ``rng.uniform`` call."""
+    records = []
+    for s in range(n_servers):
+        utils = rng.uniform(20.0, 80.0, 4)
+        for t in range(records_per_server):
+            utils = np.clip(utils + rng.uniform(-6.0, 6.0, 4), 0.0, 100.0)
+            noisy = np.clip(utils + rng.uniform(-fan.d_util_pct, fan.d_util_pct, 4),
+                            0.0, 100.0)
+            power = dynamic_power(noisy[2] / 100.0, dyn)
+            temp = cpu_temperature(power, thermal)
+            temp += rng.uniform(-fan.d_temp_c, fan.d_temp_c)
+            avg = float(np.mean(noisy))
+            rpm = fan_rpm(avg, temp, fan)
+            band = fan_rpm_band(avg, temp, fan)
+            fans = tuple(float(f) for f in oracle_fan_speeds(rpm, band, rng))
+            records.append(TelemetryRecord(
+                server_id=f"srv-{s}", timestamp=str(t),
+                fan_rpm=fans, system_pct=float(noisy[0]),
+                memory_pct=float(noisy[1]), cpu_pct=float(noisy[2]),
+                io_pct=float(noisy[3]), cpu_temp_c=float(temp)))
+    return records
 
 
 def oracle_config_dict(value):

@@ -345,6 +345,10 @@ def test_malformed_config_exit_2_without_traceback(tmp_path):
          "vms[0].mips"),
         # Once a MemoryError in the power model at the first step.
         ({"hosts": [{"id": "pm-0", "cores": 10 ** 12}]}, "hosts[0].cores"),
+        # Each constant is > 0 but R*C underflows to 0.0: once a
+        # ZeroDivisionError in the time-dependent formula (exit 1).
+        ({"hosts": [{"id": "pm-0", "thermal": {"r_kw": 1e-200, "c_jk": 1e-200}}],
+          "thermal_mode": "time-dependent"}, "hosts[0].thermal.c_jk"),
     ]
     # Ranges that once passed load and failed at the first arrival (or,
     # with no arrivals, ran and exited 0). The last one's width overflows a

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dctherm import predictor
+from dctherm.energy import DynamicEnergyParams
 from dctherm.errors import (DomainError, EmptyDataset, EmptyInput,
                             LengthMismatch, ParseError)
 from dctherm.predictor import (FanModel, TelemetryRecord, TrainSettings,
@@ -14,6 +16,8 @@ from dctherm.predictor import (FanModel, TelemetryRecord, TrainSettings,
                                sample_fan_speeds, save_model, sliding_windows,
                                synthesize_telemetry, synthesize_windows,
                                train_predictor)
+from dctherm.thermal import ThermalParams
+from oracles import oracle_synthesize_telemetry
 
 # The two telemetry rows used throughout: (avg utilization, temp, fans)
 ROW_N1 = ((58 + 62 + 63 + 72) / 4.0, 44.0, (4214, 4289, 4230, 4264, 4263))
@@ -56,16 +60,24 @@ def test_predicted_rpm_within_observed_band():
 
 def test_sample_fan_speeds():
     rng = np.random.default_rng(1)
-    fans = sample_fan_speeds(4000.0, 0.0, rng)
+    fans = sample_fan_speeds(4000.0, 0.0, rng.random(5))
     np.testing.assert_allclose(fans, 4000.0)
     rng = np.random.default_rng(1)
     lo, hi = 4000 - 80, 4000 + 80
-    draws = np.concatenate([sample_fan_speeds(4000.0, 160.0, rng)
+    draws = np.concatenate([sample_fan_speeds(4000.0, 160.0, rng.random(5))
                             for _ in range(2000)])
     assert draws.min() >= lo and draws.max() <= hi
-    a = sample_fan_speeds(100.0, 10.0, np.random.default_rng(77))
-    b = sample_fan_speeds(100.0, 10.0, np.random.default_rng(77))
+    a = sample_fan_speeds(100.0, 10.0, np.random.default_rng(77).random(5))
+    b = sample_fan_speeds(100.0, 10.0, np.random.default_rng(77).random(5))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("rpm, band", [(4000.0, -1.0), (4000.0, math.inf),
+                                       (math.inf, 10.0), (4000.0, math.nan)])
+def test_sample_fan_speeds_rejects_negative_or_non_finite_band(rpm, band):
+    # numpy's uniform raised OverflowError on a non-finite range.
+    with pytest.raises(DomainError):
+        sample_fan_speeds(rpm, band, np.random.default_rng(1).random(5))
 
 
 def test_prediction_accuracy():
@@ -109,6 +121,55 @@ def test_synthesize_deterministic():
     assert len(a) == 40
     temps = [r.cpu_temp_c for r in a]
     assert all(0 < t < 120 for t in temps)
+
+
+SYNTH_PARAMS = {
+    "defaults": {},
+    "other constants": {
+        "fan": FanModel(alpha=0.25, d_util_pct=0, d_temp_c=0),
+        "dyn": DynamicEnergyParams(capacitance_f=2e-9, voltage_v=1.0,
+                                   frequency_hz=1.5e9, mu1=20.0, mu2=35.0),
+        "thermal": ThermalParams(r_kw=0.3, c_jk=5.0, t_inlet_c=18.0,
+                                 t_initial_c=30.0),
+    },
+}
+
+
+@pytest.mark.parametrize("params", SYNTH_PARAMS.values(), ids=SYNTH_PARAMS)
+def test_synthesize_telemetry_matches_per_record_oracle(params):
+    # One rng.random block per server against one rng.uniform call per
+    # quantity on numpy arrays: every field prints the same and the
+    # generator ends in the same state.
+    for seed in range(8):
+        for n_servers in range(1, 6):
+            for per_server in (1, 2, 3, 7, 8, 9, 17, 40):
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = synthesize_telemetry(n_servers, per_server, got_rng,
+                                           **params)
+                want = oracle_synthesize_telemetry(n_servers, per_server,
+                                                   want_rng, **params)
+                assert ([repr(vars(r)) for r in got]
+                        == [repr(vars(r)) for r in want]), \
+                    (seed, n_servers, per_server)
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state)
+
+
+def test_synthesize_telemetry_raises_the_oracles_domain_error():
+    # An inlet this cold drives the CPU below 0 C, outside the fan model.
+    cold = ThermalParams(t_inlet_c=-500.0)
+    with pytest.raises(DomainError) as want:
+        oracle_synthesize_telemetry(2, 5, np.random.default_rng(3), cold)
+    with pytest.raises(DomainError) as got:
+        synthesize_telemetry(2, 5, np.random.default_rng(3), cold)
+    assert str(got.value) == str(want.value)
+
+
+def test_synthesize_telemetry_non_finite_fan_band_is_a_domain_error():
+    with pytest.raises(DomainError, match="not finite"):
+        synthesize_telemetry(1, 3, np.random.default_rng(0),
+                             fan=FanModel(alpha=1e308))
 
 
 def test_sliding_windows_grouped_by_server():
