@@ -28,8 +28,8 @@ import numpy as np
 
 from dctherm import energy
 from dctherm.energy import dynamic_power
-from dctherm.gru import PARAM_NAMES
 from dctherm.errors import DomainError
+from dctherm.gru import PARAM_NAMES
 from dctherm.model import DataCenterConfig, Workload
 from dctherm.predictor import FanModel, TelemetryRecord, fan_rpm, fan_rpm_band
 from dctherm.thermal import ThermalClass, ThermalParams, cpu_temperature
