@@ -2,16 +2,21 @@
 
 A host's draw is a seven-leaf tree: processor, storage, memory, network
 and extras make up the computing half; air conditioning, compressor and
-fans make up the cooling half. `computing_power` and `total_power` give
-the draw leaf by leaf; `host_power`, which the simulation engine calls,
-gives the same total as one float.
+fans make up the cooling half. `leaves` gives the computing half leaf by
+leaf and `cooling_power` the cooling half; `host_power`, which the
+simulation engine calls, adds them into one float.
 """
 
 import numpy as np
 
 from dctherm import energy
 
+LEAF_NAMES = ("processor_w", "storage_w", "memory_w", "network_w", "extra_w")
+
 params = energy.PowerParams()
+cooling = params.cooling
+cooling_w = energy.cooling_power(cooling.ac_w, cooling.compressor_w,
+                                 cooling.fan_w)
 
 print("== dynamic processor draw vs utilization ==")
 for u in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -20,33 +25,39 @@ for u in (0.0, 0.25, 0.5, 0.75, 1.0):
           f"(avg of linear C*V^2*f and nonlinear mu1*u + mu2*u^2)")
 
 print("\n== full tree for a busy 4-core host at 60% utilization ==")
-_, parts = energy.computing_power(params, cores=4, cpu_util=0.6)
-cooling = params.cooling
-breakdown = energy.total_power(parts, energy.cooling_power(
-    cooling.ac_w, cooling.compressor_w, cooling.fan_w))
-for name in ("processor_w", "storage_w", "memory_w", "network_w", "extra_w"):
-    print(f"  {name:12s} {getattr(breakdown, name):8.2f} W")
-print(f"  {'computing_w':12s} {breakdown.computing_w:8.2f} W")
-print(f"  {'cooling_w':12s} {breakdown.cooling_w:8.2f} W")
-print(f"  {'total_w':12s} {breakdown.total_w:8.2f} W")
-total_w = energy.host_power(params, cores=4, cpu_util=0.6)
+dynamic_w = energy.dynamic_power(0.6, params.dyn)
+parts = energy.leaves(params, True, True, 4, dynamic_w)
+for name, watts in zip(LEAF_NAMES, parts):
+    print(f"  {name:12s} {watts:8.2f} W")
+computing_w = energy.ordered_sum(parts)
+print(f"  {'computing_w':12s} {computing_w:8.2f} W")
+print(f"  {'cooling_w':12s} {cooling_w:8.2f} W")
+print(f"  {'total_w':12s} {computing_w + cooling_w:8.2f} W")
+total_w = energy.host_power(params, True, True, 4, dynamic_w)
 print(f"  host_power gives the same total as one float: {total_w:.2f} W "
-      f"(equal bit for bit: {total_w == breakdown.total_w})")
+      f"(equal bit for bit: {total_w == computing_w + cooling_w})")
 
 print("\n== idle subsystems keep only their idle draw ==")
-idle = energy.Activity(processor=False, storage=False, memory=False,
-                       network=False, extra=False)
-watts, parts = energy.computing_power(params, idle, cores=4)
-print(f"  idle computing draw: {watts:.2f} W "
-      f"(processor {parts.processor_w:.0f} W + storage {parts.storage_w:.0f} W)")
+parts = energy.leaves(params, False, False, 4, energy.dynamic_power(
+    0.0, params.dyn))
+print(f"  idle computing draw: {energy.ordered_sum(parts):.2f} W "
+      f"(processor {parts[0]:.0f} W + storage {parts[1]:.0f} W)")
 
-print("\n== additivity holds to 1e-9 over random parameter vectors ==")
+print("\n== additivity holds to 1e-9 over random parameter sets ==")
 rng = np.random.default_rng(1)
 worst = 0.0
 for _ in range(1000):
-    vals = rng.uniform(0, 500, 6)
-    b = energy.total_power(energy.ComputingBreakdown(*vals[:5]), vals[5])
-    leaves = (b.processor_w + b.storage_w + b.memory_w + b.network_w
-              + b.extra_w + b.cooling_w)
-    worst = max(worst, abs(b.total_w - leaves) / max(1.0, b.total_w))
+    vals = rng.uniform(0, 500, 15)
+    p = energy.PowerParams(
+        short_circuit_w=vals[0], leakage_w=vals[1], idle_w=vals[2],
+        storage=energy.StoragePower(*vals[3:6]),
+        memory=energy.MemoryPower(*vals[6:8]),
+        network=energy.NetworkPower(*vals[8:12]),
+        cooling=energy.CoolingPower(*vals[12:15]))
+    dynamic_w = energy.dynamic_power(float(rng.random()), p.dyn)
+    total = energy.host_power(p, True, True, 4, dynamic_w)
+    c = p.cooling
+    leaf_sum = (sum(energy.leaves(p, True, True, 4, dynamic_w))
+                + energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w))
+    worst = max(worst, abs(total - leaf_sum) / max(1.0, total))
 print(f"  worst relative defect over 1000 draws: {worst:.2e}")

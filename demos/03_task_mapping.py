@@ -6,8 +6,8 @@ residual capacity covers it.
 """
 
 from dctherm.model import UtilizationSnapshot, VmSpec, VmState, Workload
-from dctherm.utilization import (map_workloads, task_views, utilization_sort,
-                                 vm_means)
+from dctherm.utilization import (TASK_KEY, map_workloads, task_views,
+                                 utilization_sort, vm_means)
 
 # a little fleet: one loaded VM, one midway, one idle
 fleet = []
@@ -18,7 +18,7 @@ for idx, (resource, reserved) in enumerate([(0.8, 400.0), (0.4, 200.0), (0.0, 0.
     vm.e_total_w = 10.0 * resource
     fleet.append(vm)
 
-order = utilization_sort(fleet, is_vm=True)
+order = utilization_sort(fleet)
 print("== VM order the mapper will scan (most utilized first) ==")
 for vm in order:
     print(f"  {vm.id}: utilization {vm.util.resource:.0%}, "
@@ -33,11 +33,13 @@ tasks = [
 ]
 
 means = vm_means(fleet)
-views = utilization_sort(task_views(tasks, means))
+views = sorted(task_views(tasks, means), key=TASK_KEY)
 result = map_workloads(views, order, means[0])
 
 print("\n== assignments (light tasks pack the busy VM first) ==")
 for task_id, vm_id in result.assigned:
     print(f"  {task_id:7s} -> {vm_id}")
-for task_id in result.unassigned:
-    print(f"  {task_id:7s} -> unassigned (fits no VM)")
+placed = {position for position, _ in result.hits}
+for position, view in enumerate(views):
+    if position not in placed:
+        print(f"  {view.id:7s} -> unassigned (fits no VM)")

@@ -25,7 +25,8 @@ for i in range(6):
 
 one = traceio.load_planetlab_trace(os.path.join(trace_dir, "vm_00.trace"))
 print(f"loaded {one.vm_label}: {len(one.samples)} samples covering "
-      f"{one.duration_s / 3600:.0f} h, head {one.samples[:6]}")
+      f"{len(one.samples) * one.spacing_s / 3600:.0f} h, "
+      f"head {one.samples[:6]}")
 
 cfg = default_datacenter(seed=5, horizon_s=86400, trace_dir=trace_dir)
 report = engine.run_once(cfg)

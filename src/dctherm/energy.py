@@ -12,15 +12,11 @@ linear (C V^2 f) and a nonlinear (mu1 u + mu2 u^2) model. Every sum runs
 left to right, so a total is
 ``((((processor + storage) + memory) + network) + extra) + cooling``.
 
-The leaf formulas are written once, in ``_leaves`` (computing) and
-``cooling_power``; the computing sum once, in ``_computing_w``. Both
-paths read them:
-
-- ``host_power`` returns one host's total watts as a float and builds no
-  breakdown object; the engine calls it once per recomputed host, with
-  one of the ``HOST_ACTIVITY`` constants;
-- ``computing_power`` and ``total_power`` return the same figures leaf
-  by leaf, as a ``ComputingBreakdown`` and an ``EnergyBreakdown``.
+The leaf formulas are written once, in ``leaves`` (computing) and
+``cooling_power``. ``host_power`` adds them into one host's total watts;
+the engine calls it once per recomputed host with two flags (the host
+holds a VM; one of its VMs holds a reservation) and the dynamic draw it
+has already computed for the host.
 
 The constant leaves are never summed ahead of time: adding them in
 another order would change the last bits of every total.
@@ -120,59 +116,6 @@ class PowerParams(_NonNegative):
     dyn: DynamicEnergyParams = field(default_factory=DynamicEnergyParams)
 
 
-@dataclass(frozen=True)
-class Activity:
-    """Which subsystems are actively working this interval.
-
-    An active subsystem contributes every printed term of its equation
-    (idle draw included); an inactive one contributes its idle draw only,
-    or nothing if the subsystem has no idle term.
-    """
-
-    processor: bool = True
-    storage: bool = True
-    memory: bool = True
-    network: bool = True
-    extra: bool = True
-
-
-# The engine's four cases, HOST_ACTIVITY[processor][busy]: the processor
-# works when the host holds a VM, the other subsystems when one of its VMs
-# holds a reservation.
-HOST_ACTIVITY = tuple(
-    tuple(Activity(processor=processor, storage=busy, memory=busy,
-                   network=busy, extra=busy) for busy in (False, True))
-    for processor in (False, True))
-
-
-@dataclass(frozen=True)
-class ComputingBreakdown:
-    processor_w: float = 0.0
-    storage_w: float = 0.0
-    memory_w: float = 0.0
-    network_w: float = 0.0
-    extra_w: float = 0.0
-
-    @property
-    def watts(self):
-        return _computing_w(self.processor_w, self.storage_w, self.memory_w,
-                            self.network_w, self.extra_w)
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """One host's instantaneous power, per subsystem and in total."""
-
-    processor_w: float
-    storage_w: float
-    memory_w: float
-    network_w: float
-    extra_w: float
-    computing_w: float
-    cooling_w: float
-    total_w: float
-
-
 def dynamic_power(u, p):
     """Dynamic processor draw at utilization ``u`` in [0, 1].
 
@@ -198,12 +141,18 @@ def ordered_sum(values):
     return total
 
 
-def _leaves(p, active, cores, cpu_util):
+def leaves(p, processor, busy, cores, dynamic_w):
     """The five leaves of the computing half, in tree order: (processor,
-    storage, memory, network, extra) watts."""
-    if active.processor:
-        core_w = (dynamic_power(cpu_util, p.dyn) / cores + p.short_circuit_w
-                  + p.leakage_w + p.idle_w)
+    storage, memory, network, extra) watts.
+
+    ``processor`` says the host holds a VM, ``busy`` that one of its VMs
+    holds a reservation, and ``dynamic_w`` is the processor's dynamic
+    draw, ``dynamic_power(u, p.dyn)``. A working subsystem contributes
+    every printed term of its equation (idle draw included); an idle one
+    contributes its idle draw only, or nothing if it has no idle term.
+    """
+    if processor:
+        core_w = dynamic_w / cores + p.short_circuit_w + p.leakage_w + p.idle_w
     else:
         core_w = p.idle_w
     # Added in a loop, as ordered_sum adds, for the same reason.
@@ -212,35 +161,12 @@ def _leaves(p, active, cores, cpu_util):
         proc += core_w
 
     s = p.storage
-    storage = (s.read_w + s.write_w + s.idle_w) if active.storage else s.idle_w
-    m = p.memory
-    memory = (m.sram_w + m.dram_w) if active.memory else 0.0
-    n = p.network
-    network = (n.router_w + n.gateway_w + n.lan_card_w + n.switch_w) if active.network else 0.0
-    e = p.extra
-    extra = (e.motherboard_w + e.connector_w * e.ports) if active.extra else 0.0
-    return proc, storage, memory, network, extra
-
-
-def _computing_w(processor_w, storage_w, memory_w, network_w, extra_w):
-    """The computing half: its five leaves added left to right."""
-    return processor_w + storage_w + memory_w + network_w + extra_w
-
-
-def computing_power(p, active=Activity(), cores=1, cpu_util=0.0):
-    """Compose the computing half of the tree for one host.
-
-    Args:
-        p: PowerParams for the host.
-        active: per-subsystem activity flags.
-        cores: number of processor cores.
-        cpu_util: host CPU utilization in [0, 1], drives the dynamic term.
-
-    Returns:
-        (watts, ComputingBreakdown) with the five subsystem leaves.
-    """
-    breakdown = ComputingBreakdown(*_leaves(p, active, cores, cpu_util))
-    return breakdown.watts, breakdown
+    if not busy:
+        return proc, s.idle_w, 0.0, 0.0, 0.0
+    m, n, e = p.memory, p.network, p.extra
+    return (proc, s.read_w + s.write_w + s.idle_w, m.sram_w + m.dram_w,
+            n.router_w + n.gateway_w + n.lan_card_w + n.switch_w,
+            e.motherboard_w + e.connector_w * e.ports)
 
 
 def cooling_power(ac_w, compressor_w, fan_w):
@@ -253,28 +179,11 @@ def cooling_power(ac_w, compressor_w, fan_w):
     return ac_w + compressor_w + fan_w
 
 
-def total_power(computing, cooling_w):
-    """Assemble the full EnergyBreakdown from a ComputingBreakdown and the
-    cooling draw."""
-    if cooling_w < 0:
-        raise DomainError("cooling_w must be >= 0")
-    watts = computing.watts
-    return EnergyBreakdown(
-        processor_w=computing.processor_w,
-        storage_w=computing.storage_w,
-        memory_w=computing.memory_w,
-        network_w=computing.network_w,
-        extra_w=computing.extra_w,
-        computing_w=watts,
-        cooling_w=cooling_w,
-        total_w=watts + cooling_w,
-    )
-
-
-def host_power(p, active=Activity(), cores=1, cpu_util=0.0):
-    """One host's total draw in watts, as a float: the whole tree, with no
-    breakdown object. Equal, bit for bit, to the ``total_w`` of
-    ``total_power`` over ``computing_power`` and ``cooling_power``."""
+def host_power(p, processor, busy, cores, dynamic_w):
+    """One host's total draw in watts: the five ``leaves`` and
+    ``cooling_power``, added left to right."""
+    proc, storage, memory, network, extra = leaves(p, processor, busy, cores,
+                                                   dynamic_w)
     c = p.cooling
-    return (_computing_w(*_leaves(p, active, cores, cpu_util))
+    return (proc + storage + memory + network + extra
             + cooling_power(c.ac_w, c.compressor_w, c.fan_w))

@@ -32,9 +32,9 @@ its inputs changed. Every VM and host starts dirty:
   or it waits;
 - the power phase recomputes a host's utilization, busy flag, reserved
   MIPS and power figures only when its VM list or a VM's load on it
-  changed, in one pass over its VMs, and takes the total draw from
-  ``energy.host_power`` as one float; the next refresh reads the
-  utilization and the dynamic draw from the host;
+  changed, in one pass over its VMs, computes its dynamic draw once and
+  passes it to ``energy.host_power`` for the total draw; the next refresh
+  reads the utilization and the dynamic draw from the host;
 - a host's temperature step is reused while its dynamic draw and start
   temperature equal those of its last one;
 - the predicted temperature change (delta-T) that the scheduler
@@ -60,11 +60,10 @@ from .model import (HostState, UtilizationSnapshot, VmState, config_digest,
                     derive_lambda, validate_config)
 from .traceio import (SUMMARY_FIELDS, generate_workloads, load_planetlab_trace,
                       poisson_arrivals)
-from .utilization import Backlog, bandwidth_need
+from .utilization import Backlog, bandwidth_need, vm_key
 
 STREAM_ARRIVALS = 0
 STREAM_WORKLOAD = 1
-VM_KEY = utilization.sort_key(is_vm=True)
 
 
 def migration_downtime(ram_mb, bandwidth_bps):
@@ -223,7 +222,7 @@ def _refresh_vm_views(state):
         with_vm = energy.dynamic_power(
             min(1.0, host.cpu_util + u_share), host.spec.power.dyn)
         vm.e_total_w = max(0.0, with_vm - host.dynamic_w)
-        key = VM_KEY(vm) + (index[vm_id],)
+        key = vm_key(vm) + (index[vm_id],)
         if move and key != vm.walk_key and vm_id not in waiting:
             # The VM leaves the walk at its old key and rejoins at its new
             # one; unique keys keep the walk sorted.
@@ -254,7 +253,7 @@ def _update_placed(state):
         state.placed_means = utilization.vm_means(state.placed)
         state.resort = True
     if state.resort:
-        state.walk = utilization.utilization_sort(state.placed, is_vm=True)
+        state.walk = utilization.utilization_sort(state.placed)
         state.walk_keys = [vm.walk_key for vm in state.walk]
         state.resort = False
 
@@ -312,11 +311,10 @@ def _power_phase(state):
     One pass over a dirty host's VMs sums the utilization demand and the
     reserved MIPS, each left to right from the int 0 in ``placed_vms``
     order, as ``energy.ordered_sum`` adds, and finds the busy flag: some
-    VM holds a reservation. The total draw is one ``energy.host_power``
-    call, which builds no breakdown object."""
+    VM holds a reservation. The dynamic draw is computed once and passed
+    to ``energy.host_power`` for the total draw."""
     vms, host_by_id = state.vms, state.host_by_id
     host_power, dynamic_power = energy.host_power, energy.dynamic_power
-    activity = energy.HOST_ACTIVITY
     for host_id in state.dirty_hosts:
         host = host_by_id[host_id]
         spec = host.spec
@@ -338,9 +336,9 @@ def _power_phase(state):
             state.dirty_vms.update(v for v in placed if vms[v].util.resource)
         host.reserved_mips = reserved
         power = spec.power
-        host.power_w = host_power(power, activity[bool(placed)][busy],
-                                  spec.cores, u)
-        host.dynamic_w = dynamic_power(u, power.dyn)
+        host.dynamic_w = dynamic_w = dynamic_power(u, power.dyn)
+        host.power_w = host_power(power, bool(placed), busy, spec.cores,
+                                  dynamic_w)
     state.dirty_hosts.clear()
     interval = state.cfg.interval_s
     energy_j = state.energy_j

@@ -323,10 +323,6 @@ class GruModel:
             w_out = rng.uniform(-bound, bound, size_in)
         return cls(layers, w_out, 0.0, norm)
 
-    @property
-    def hidden_sizes(self):
-        return tuple(layer.hidden_size for layer in self.layers)
-
     def forward_normalized(self, xs, keep_cache=False):
         """xs: (T, batch, n_features), already normalized.
 
@@ -374,15 +370,6 @@ class GruModel:
             layer_grads[i], grad_seq = self.layers[i].backward(
                 caches[i], grad_seq, input_grad=i > 0, out=out)
         return [g for grads in layer_grads for g in grads] + [gw_out, gb_out]
-
-    def predict_sequence(self, features):
-        """One raw (T, n_features) sequence -> temperature in Celsius."""
-        xs = np.asarray(features, dtype=float)
-        if xs.ndim != 2:
-            raise DimensionMismatch("sequence must be (steps, features)")
-        xn = self.norm.normalize_features(xs)[:, None, :]
-        y = self.forward_normalized(xn)
-        return float(self.norm.denormalize_target(y[0]))
 
     def predict_batch(self, features):
         """(n, T, n_features) raw windows -> (n,) temperatures in Celsius."""

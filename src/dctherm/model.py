@@ -441,12 +441,6 @@ def load_config(path):
     return config_from_dict(data)
 
 
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def config_digest(cfg):
     """Stable hash of the full configuration, for run provenance. The
     dicts' keys are in sorted order already, and a fresh tree of dicts and
@@ -454,12 +448,3 @@ def config_digest(cfg):
     canon = json.dumps(config_to_dict(cfg), separators=(",", ":"),
                        check_circular=False)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-__all__ = [
-    "DataCenterConfig", "HostSpec", "HostState", "MAX_CORES",
-    "UtilizationSnapshot", "VmSpec", "VmState", "Workload",
-    "WorkloadGenConfig", "config_digest", "config_from_dict",
-    "config_to_dict", "default_datacenter", "load_config", "save_config",
-    "validate_config",
-]

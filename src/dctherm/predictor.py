@@ -59,10 +59,6 @@ class TelemetryRecord:
                 raise ParseError(f"{name} out of [0, 100]")
 
     @property
-    def avg_utilization(self):
-        return (self.system_pct + self.memory_pct + self.cpu_pct + self.io_pct) / 4.0
-
-    @property
     def features(self):
         return self.fan_rpm + (self.system_pct, self.memory_pct,
                                self.cpu_pct, self.io_pct)

@@ -51,15 +51,6 @@ class UtilizationTrace:
     samples: tuple
     spacing_s: int = 300
 
-    @property
-    def duration_s(self):
-        return len(self.samples) * self.spacing_s
-
-
-def sample_telemetry_path():
-    """Path of the six-row telemetry sample shipped with the package."""
-    return os.path.join(os.path.dirname(__file__), "data", "sample_telemetry.csv")
-
 
 def _read_text(path, what):
     """The whole of a UTF-8 text file, line endings untranslated. Raises
@@ -210,14 +201,6 @@ def load_telemetry_csv(path):
             last_ts[record.server_id] = key
         records.append(record)
     return tuple(records)
-
-
-def save_telemetry_csv(records, path):
-    _write_csv(path, CSV_COLUMNS, (
-        _csv_line((rec.server_id, rec.timestamp, *rec.fan_rpm,
-                   rec.system_pct, rec.memory_pct, rec.cpu_pct, rec.io_pct,
-                   rec.cpu_temp_c))
-        for rec in records))
 
 
 @functools.lru_cache(maxsize=16)

@@ -6,12 +6,13 @@ against the VMs' spec means (``task_views``), whose first four fields are
 that demand. Resource utilization is a fraction, the other three fields
 percents. The mapper is the greedy two-sort algorithm: tasks ascending by
 estimated demand, VMs descending by utilization (energy first), each task
-to the first VM that still fits it. ``sort_key`` is the one ordering and
-``map_workloads`` the one walk, over tasks and VMs already in that order:
-``Backlog`` keeps the engine's pending tasks sorted as one list of
-``TaskView`` records and the engine keeps its placed VMs sorted, while a
-standalone caller sorts ``task_views(tasks, vm_means(vms))`` and the VMs
-with ``utilization_sort``.
+to the first VM that still fits it. ``TASK_KEY`` is the one task ordering,
+``vm_key`` the one VM ordering and ``map_workloads`` the one walk, over
+tasks and VMs already in those orders: ``Backlog`` keeps the engine's
+pending tasks sorted as one list of ``TaskView`` records and the engine
+keeps its placed VMs sorted, while a standalone caller sorts
+``task_views(tasks, vm_means(vms))`` by ``TASK_KEY`` and the VMs with
+``utilization_sort``.
 """
 
 import bisect
@@ -37,38 +38,27 @@ class Assignment:
         """(workload id, vm id) per task placed, in walk order."""
         return [(self.ordered[i].id, vm_id) for i, vm_id in self.hits]
 
-    @property
-    def unassigned(self):
-        """Workload ids of the tasks left over, in walk order."""
-        placed = {i for i, _ in self.hits}
-        return [t.id for i, t in enumerate(self.ordered) if i not in placed]
+
+def vm_key(vm):
+    """The mapper's VM ordering as a key: the utilization chain (resource
+    utilization with memory, disk, network breaking ties) descending,
+    then energy draw ascending, which orders VMs as a stable energy sort
+    followed by a stable chain sort would."""
+    util = vm.util
+    return (-util.resource, -util.memory_pct, -util.disk_pct,
+            -util.network_pct, vm.e_total_w)
 
 
-def sort_key(is_vm=False):
-    """The mapper's ordering as a key function.
-
-    The key is the utilization chain: resource utilization with memory,
-    disk, network breaking ties, ascending for tasks and descending for
-    VMs. VMs break remaining ties by energy draw ascending, which orders
-    them as a stable energy sort followed by a stable chain sort would.
-    Items need a ``.util`` snapshot, VMs also ``.e_total_w``.
-    """
-    if is_vm:
-        return lambda v: (-v.util.resource, -v.util.memory_pct,
-                          -v.util.disk_pct, -v.util.network_pct, v.e_total_w)
-    return lambda t: (t.util.resource, t.util.memory_pct, t.util.disk_pct,
-                      t.util.network_pct)
-
-
-def utilization_sort(items, is_vm=False):
-    """Order VMs or tasks for the mapper by ``sort_key``; equal keys keep
-    their input order."""
-    return sorted(items, key=sort_key(is_vm))
+def utilization_sort(vms):
+    """Order VMs for the mapper by ``vm_key``; equal keys keep their input
+    order."""
+    return sorted(vms, key=vm_key)
 
 
 class TaskView(NamedTuple):
     """A workload with its estimated demand; the first four fields are
-    the demand snapshot and the task sort key (``TASK_KEY``)."""
+    the demand snapshot and the task sort key (``TASK_KEY``): the
+    utilization chain ascending."""
 
     resource: float
     memory_pct: float
@@ -79,11 +69,6 @@ class TaskView(NamedTuple):
     ram_mb: float
     bandwidth_bps_required: float
     task: object
-
-    @property
-    def util(self):
-        """The demand snapshot: the view itself, read by ``sort_key()``."""
-        return self
 
 
 TASK_KEY = operator.itemgetter(slice(4))
@@ -131,10 +116,10 @@ def task_views(workloads, means, interval_s=300):
 def map_workloads(tasks, vms, mean_mips):
     """Greedy mapping of TaskViews onto VMs.
 
-    ``tasks`` must already be in walk order (ascending ``sort_key()``), and
+    ``tasks`` must already be in walk order (ascending ``TASK_KEY``), and
     ``mean_mips`` is the mean VM MIPS their views were estimated against.
-    ``vms`` must be in walk order too (ascending ``sort_key(is_vm=True)``:
-    the most utilized first); the engine keeps its placed VMs in that order
+    ``vms`` must be in walk order too (ascending ``vm_key``: the most
+    utilized first); the engine keeps its placed VMs in that order
     across steps. Each task lands on the first VM whose residual MIPS, RAM
     and bandwidth all cover it, and the residual is debited immediately. A
     VM's residual is read when the walk first reaches it, so a walk whose
@@ -228,10 +213,6 @@ class Backlog:
 
     def __len__(self):
         return len(self.tasks)
-
-    def __iter__(self):
-        """Tasks in arrival order."""
-        return iter(self.tasks.values())
 
     def extend(self, tasks):
         """Add newly arrived tasks. Each task object is held once: passing

@@ -162,11 +162,13 @@ def oracle_vm_views(state):
     return views
 
 
-def oracle_host_power_w(p, active, cores, u):
+def oracle_host_power_w(p, processor, busy, cores, u):
     """A host's total draw: the seven leaves, processor first and cooling
     last, added left to right, with the processor leaf added core by core.
-    An inactive subsystem keeps its idle draw, or nothing."""
-    if active.processor:
+    The processor works when ``processor`` is set, the other computing
+    subsystems when ``busy`` is; an idle subsystem keeps its idle draw, or
+    nothing."""
+    if processor:
         core_w = dynamic_power(u, p.dyn) / cores
         for static_w in (p.short_circuit_w, p.leakage_w, p.idle_w):
             core_w += static_w
@@ -175,11 +177,11 @@ def oracle_host_power_w(p, active, cores, u):
     s, m, n, e, c = p.storage, p.memory, p.network, p.extra, p.cooling
     terms = [
         [core_w] * cores,
-        [s.read_w, s.write_w, s.idle_w] if active.storage else [s.idle_w],
-        [m.sram_w, m.dram_w] if active.memory else [0.0],
+        [s.read_w, s.write_w, s.idle_w] if busy else [s.idle_w],
+        [m.sram_w, m.dram_w] if busy else [0.0],
         [n.router_w, n.gateway_w, n.lan_card_w, n.switch_w]
-        if active.network else [0.0],
-        [e.motherboard_w, e.connector_w * e.ports] if active.extra else [0.0],
+        if busy else [0.0],
+        [e.motherboard_w, e.connector_w * e.ports] if busy else [0.0],
         [c.ac_w, c.compressor_w, c.fan_w],
     ]
     total = 0.0
@@ -199,10 +201,9 @@ def oracle_host_figures(state, host):
     u = min(1.0, reduce(add, [vm.util.resource * vm.spec.mips for vm in vms],
                         0) / host.spec.total_mips)
     busy = any(vm.reserved_mips > 0 for vm in vms)
-    active = energy.Activity(processor=bool(vms), storage=busy, memory=busy,
-                             network=busy, extra=busy)
     return (u, reduce(add, [vm.reserved_mips for vm in vms], 0),
-            oracle_host_power_w(host.spec.power, active, host.spec.cores, u),
+            oracle_host_power_w(host.spec.power, bool(vms), busy,
+                                host.spec.cores, u),
             dynamic_power(u, host.spec.power.dyn))
 
 
@@ -214,18 +215,18 @@ def fits(task, residual):
 
 
 def oracle_sort(items, vm, decreasing):
+    """VMs by their utilization snapshot (``.util``) after a stable sort by
+    increasing energy; task views by their four demand fields."""
     lst = list(items)
     if vm:
-        # stable sort by increasing energy, then recurse for the
-        # utilization ordering (the recursive call keeps the direction)
         lst = sorted(lst, key=lambda it: it.e_total_w)
-        return oracle_sort(lst, False, decreasing)
+
+    def chain(it):
+        d = it.util if vm else it
+        return (d.resource, d.memory_pct, d.disk_pct, d.network_pct)
 
     def precedes(a, b):
-        ka = (a.util.resource, a.util.memory_pct, a.util.disk_pct,
-              a.util.network_pct)
-        kb = (b.util.resource, b.util.memory_pct, b.util.disk_pct,
-              b.util.network_pct)
+        ka, kb = chain(a), chain(b)
         return ka > kb if decreasing else ka < kb
 
     out = []

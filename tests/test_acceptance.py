@@ -89,14 +89,24 @@ def test_criterion_05_predictor_accuracy():
 
 def test_criterion_06_energy_conservation():
     with verdict(6, "power-tree additivity and engine energy cross-check"):
+        from test_energy import random_power_params
         rng = np.random.default_rng(606)
         for _ in range(1000):
-            vals = rng.uniform(0.0, 400.0, 6)
-            parts = energy.ComputingBreakdown(*vals[:5])
-            b = energy.total_power(parts, vals[5])
-            leaves = (b.processor_w + b.storage_w + b.memory_w + b.network_w
-                      + b.extra_w + b.cooling_w)
-            assert abs(b.total_w - leaves) <= 1e-9 * max(1.0, abs(b.total_w))
+            p = random_power_params(rng)
+            cores = int(rng.integers(1, 9))
+            dynamic_w = energy.dynamic_power(float(rng.random()), p.dyn)
+            c = p.cooling
+            cooling_w = energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w)
+            for processor in (False, True):
+                for busy in (False, True):
+                    total = energy.host_power(p, processor, busy, cores,
+                                              dynamic_w)
+                    leaves = 0.0
+                    for leaf_w in energy.leaves(p, processor, busy, cores,
+                                                dynamic_w):
+                        leaves += leaf_w
+                    leaves += cooling_w
+                    assert abs(total - leaves) <= 1e-9 * max(1.0, abs(total))
         cfg = model.default_datacenter(
             seed=6, horizon_s=30000,
             workload=WorkloadGenConfig(lambda_per_interval=3.0))
@@ -130,11 +140,14 @@ def test_criterion_07_task_mapping_oracle():
             means = utilization.vm_means(vms)
             views = utilization.task_views(tasks, means)
             got = utilization.map_workloads(
-                utilization.utilization_sort(views),
-                utilization.utilization_sort(vms, is_vm=True), means[0])
+                sorted(views, key=utilization.TASK_KEY),
+                utilization.utilization_sort(vms), means[0])
+            placed = {i for i, _ in got.hits}
+            unassigned = [t.id for i, t in enumerate(got.ordered)
+                          if i not in placed]
             want_assigned, want_unassigned = oracle_map(views, vms)
             assert got.assigned == want_assigned
-            assert got.unassigned == want_unassigned
+            assert unassigned == want_unassigned
 
 
 def _random_host(rng, idx):

@@ -13,6 +13,8 @@ from dctherm import cli, predictor, traceio
 from dctherm.gru import FeatureNorm, GruModel
 from dctherm.model import WorkloadGenConfig, config_to_dict, default_datacenter
 
+from test_traceio import SAMPLE_TELEMETRY, write_telemetry_csv
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -122,7 +124,7 @@ def test_train_predict_cycle(tmp_path, capsys):
 
     data_path = tmp_path / "telemetry.csv"
     records = predictor.synthesize_telemetry(1, 30, np.random.default_rng(4))
-    traceio.save_telemetry_csv(records, data_path)
+    write_telemetry_csv(records, data_path)
     assert cli.main(["predict", "--model", str(model_path),
                      "--data", str(data_path)]) == 0
     assert "accuracy=" in capsys.readouterr().out
@@ -180,7 +182,7 @@ def test_predict_with_a_model_of_other_input_size_exit_3(tmp_path, capsys):
     model_path = tmp_path / "five.bin"
     predictor.save_model(GruModel.create(5, (3,), norm), model_path)
     data_path = tmp_path / "telemetry.csv"
-    traceio.save_telemetry_csv(
+    write_telemetry_csv(
         predictor.synthesize_telemetry(1, 10, np.random.default_rng(4)),
         data_path)
     assert cli.main(["predict", "--model", str(model_path),
@@ -193,7 +195,7 @@ def test_predict_with_a_model_of_other_input_size_exit_3(tmp_path, capsys):
 def test_non_finite_telemetry_exit_3(tmp_path, capsys, field):
     # Once read as inf: predict printed mean_abs_error=infC and exited 0.
     data_path = tmp_path / "telemetry.csv"
-    traceio.save_telemetry_csv(
+    write_telemetry_csv(
         predictor.synthesize_telemetry(1, 12, np.random.default_rng(4)),
         data_path)
     header, *rows = data_path.read_text().splitlines()
@@ -216,7 +218,7 @@ def _unreadable_inputs(tmp_path, case):
     """argv for one CLI command given an input it cannot read or parse, or
     an output path it cannot write."""
     missing_dir = tmp_path / "missing-dir"
-    sample = traceio.sample_telemetry_path()
+    sample = SAMPLE_TELEMETRY
     model = Path(__file__).parent / "data" / "model_v1.bin"
     if case == "predict-missing-model":
         return ["predict", "--model", str(tmp_path / "missing.bin"),
@@ -313,7 +315,7 @@ def test_train_on_telemetry_with_too_few_windows_for_test_count_exit_2(
     # Eight records of one server cut one window, which leaves none to
     # train on once the default held-out window is taken.
     data_path = tmp_path / "telemetry.csv"
-    traceio.save_telemetry_csv(
+    write_telemetry_csv(
         predictor.synthesize_telemetry(1, 8, np.random.default_rng(4)),
         data_path)
     assert cli.main(["train-predictor", "--data", str(data_path),

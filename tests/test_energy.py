@@ -67,30 +67,34 @@ def test_dynamic_power_monotone_in_utilization():
 
 def test_computing_power_component_sums():
     p = energy.PowerParams()
-    watts, parts = energy.computing_power(p, cores=4, cpu_util=0.0)
-    assert watts == pytest.approx(parts.processor_w + parts.storage_w
-                                  + parts.memory_w + parts.network_w
-                                  + parts.extra_w)
+    dynamic_w = energy.dynamic_power(0.0, p.dyn)
+    parts = energy.leaves(p, True, True, 4, dynamic_w)
+    c = p.cooling
+    assert energy.host_power(p, True, True, 4, dynamic_w) == pytest.approx(
+        sum(parts) + c.ac_w + c.compressor_w + c.fan_w)
+    # the processor adds every per-core draw, the dynamic one split evenly
+    assert parts[0] == pytest.approx(dynamic_w + 4 * (
+        p.short_circuit_w + p.leakage_w + p.idle_w))
     # storage sums every printed term when active
-    assert parts.storage_w == pytest.approx(p.storage.read_w + p.storage.write_w
-                                            + p.storage.idle_w)
+    assert parts[1] == pytest.approx(p.storage.read_w + p.storage.write_w
+                                     + p.storage.idle_w)
 
 
 def test_computing_power_storage_literal_sum():
     p = energy.PowerParams(storage=energy.StoragePower(read_w=1, write_w=2, idle_w=3))
-    _, parts = energy.computing_power(p)
-    assert parts.storage_w == 6.0
+    _, storage_w, *_ = energy.leaves(p, True, True, 1,
+                                     energy.dynamic_power(0.0, p.dyn))
+    assert storage_w == 6.0
 
 
 def test_computing_power_idle_subsystems():
     p = energy.PowerParams()
-    inactive = energy.Activity(processor=False, storage=False, memory=False,
-                               network=False, extra=False)
-    watts, parts = energy.computing_power(p, inactive, cores=2)
-    assert parts.processor_w == 2 * p.idle_w
-    assert parts.storage_w == p.storage.idle_w
-    assert parts.memory_w == parts.network_w == parts.extra_w == 0.0
-    assert watts == pytest.approx(2 * p.idle_w + p.storage.idle_w)
+    parts = energy.leaves(p, False, False, 2, energy.dynamic_power(0.0, p.dyn))
+    processor_w, storage_w, memory_w, network_w, extra_w = parts
+    assert processor_w == 2 * p.idle_w
+    assert storage_w == p.storage.idle_w
+    assert memory_w == network_w == extra_w == 0.0
+    assert sum(parts) == pytest.approx(2 * p.idle_w + p.storage.idle_w)
 
 
 def test_computing_power_zero_params():
@@ -101,17 +105,8 @@ def test_computing_power_zero_params():
         network=energy.NetworkPower(0, 0, 0, 0),
         extra=energy.ExtraPower(0, 0, 0),
         dyn=energy.DynamicEnergyParams(0, 0, 0, 0, 0))
-    watts, _ = energy.computing_power(p, cores=4, cpu_util=1.0)
-    assert watts == 0.0
-
-
-def test_reference_lower_bound_sum():
-    # subsystem lower bounds: processor 130, storage 35, memory 10,
-    # network 70, extra 2
-    parts = energy.ComputingBreakdown(130, 35, 10, 70, 2)
-    assert parts.watts == 247.0
-    breakdown = energy.total_power(parts, 400.0)
-    assert breakdown.total_w == 647.0
+    parts = energy.leaves(p, True, True, 4, energy.dynamic_power(1.0, p.dyn))
+    assert sum(parts) == 0.0
 
 
 def test_cooling_power():
@@ -122,62 +117,31 @@ def test_cooling_power():
         energy.cooling_power(-1, 0, 0)
 
 
-def test_total_power_identity_and_zero():
-    zero = energy.ComputingBreakdown()
-    assert energy.total_power(zero, 0.0).total_w == 0.0
-    for x in (1.0, 17.5, 300.0):
-        parts = energy.ComputingBreakdown(processor_w=x)
-        assert energy.total_power(parts, 0.0).total_w == x
-
-
-def test_breakdown_additivity_randomized():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        vals = rng.uniform(0, 500, 6)
-        parts = energy.ComputingBreakdown(*vals[:5])
-        b = energy.total_power(parts, vals[5])
-        leaves = (b.processor_w + b.storage_w + b.memory_w + b.network_w
-                  + b.extra_w + b.cooling_w)
-        assert abs(b.total_w - leaves) <= 1e-9 * max(1.0, abs(b.total_w))
-        assert abs(b.computing_w - parts.watts) <= 1e-9 * max(1.0, b.computing_w)
-
-
-def test_total_monotone_in_each_leaf():
-    rng = np.random.default_rng(7)
-    base = rng.uniform(0, 100, 6)
-    total = energy.total_power(energy.ComputingBreakdown(*base[:5]), base[5]).total_w
-    for i in range(6):
-        bumped = base.copy()
-        bumped[i] += 13.0
-        t2 = energy.total_power(energy.ComputingBreakdown(*bumped[:5]), bumped[5]).total_w
-        assert t2 >= total
-
-
 def test_host_power_composes_cooling():
     p = energy.PowerParams()
-    _, parts = energy.computing_power(p, cores=4, cpu_util=0.5)
+    dynamic_w = energy.dynamic_power(0.5, p.dyn)
     c = p.cooling
-    b = energy.total_power(parts,
-                           energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w))
-    assert b.cooling_w == pytest.approx(c.ac_w + c.compressor_w + c.fan_w)
-    assert b.total_w == pytest.approx(b.computing_w + b.cooling_w)
-    assert energy.host_power(p, cores=4, cpu_util=0.5) == b.total_w
+    cooling_w = energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w)
+    assert cooling_w == pytest.approx(c.ac_w + c.compressor_w + c.fan_w)
+    processor_w, storage_w, memory_w, network_w, extra_w = energy.leaves(
+        p, True, True, 4, dynamic_w)
+    assert energy.host_power(p, True, True, 4, dynamic_w) \
+        == processor_w + storage_w + memory_w + network_w + extra_w + cooling_w
 
 
 def test_host_power_and_breakdown_equal_the_oracle():
     """2,000 random parameter sets with full mantissas, so that adding the
-    leaves in another order shows in the last bits, under all four
-    activities the engine passes and at u = 0, 1 and a random one."""
+    leaves in another order shows in the last bits, under the four
+    (processor, busy) cases the engine passes and at u = 0, 1 and a
+    random one."""
     rng = np.random.default_rng(20)
     for _ in range(2000):
         p = random_power_params(rng)
         cores = int(rng.integers(1, 9))
-        c = p.cooling
-        cooling_w = energy.cooling_power(c.ac_w, c.compressor_w, c.fan_w)
-        for by_busy in energy.HOST_ACTIVITY:
-            for active in by_busy:
+        for processor in (False, True):
+            for busy in (False, True):
                 for u in (0.0, 1.0, float(rng.random())):
-                    want = oracle_host_power_w(p, active, cores, u)
-                    assert energy.host_power(p, active, cores, u) == want
-                    _, parts = energy.computing_power(p, active, cores, u)
-                    assert energy.total_power(parts, cooling_w).total_w == want
+                    want = oracle_host_power_w(p, processor, busy, cores, u)
+                    dynamic_w = energy.dynamic_power(u, p.dyn)
+                    assert energy.host_power(p, processor, busy, cores,
+                                             dynamic_w) == want

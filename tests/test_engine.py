@@ -520,7 +520,7 @@ def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
 
     means, rebuilds = None, 0
     for _ in range(cfg.step_count):
-        pending = list(state.pending_tasks)
+        pending = list(state.pending_tasks.tasks.values())
         waiting = set(state.waiting)
         placed = [copy.copy(vm) for vm in state.vms.values()
                   if vm.id not in waiting]
@@ -539,7 +539,7 @@ def test_backlog_maps_as_the_oracle_viewing_each_task_once_per_epoch(
         assert keys == sorted(keys)
         ids = sorted(id(task) for task in
                      [view.task for view in backlog.held] + backlog.inbox)
-        assert ids == sorted({id(task) for task in backlog})
+        assert ids == sorted(backlog.tasks)
         assert len(backlog) == len(ids)
     assert rebuilds >= 10 and len(state.pending_tasks) >= 50
     assert set(viewed.values()) == {1}
@@ -573,12 +573,11 @@ def test_backlog_keeps_arrival_order_among_ties_across_means_changes():
             pending.append(task)
         means = utilization.vm_means(vms)
         want, _ = oracle_map(utilization.task_views(pending, means), vms)
-        got = backlog.take(utilization.utilization_sort(vms, is_vm=True),
-                           means, 300)
+        got = backlog.take(utilization.utilization_sort(vms), means, 300)
         assert [(task.id, vm_id) for task, vm_id in got] == want
         taken = {task.id for task, _ in got}
         pending = [task for task in pending if task.id not in taken]
-        assert list(backlog) == pending
+        assert list(backlog.tasks.values()) == pending
     assert len(pending) >= 20
 
 
@@ -659,7 +658,6 @@ def assert_incremental_state_matches_full_recompute(cfg, steps=None,
     from oracles import oracle_host_figures, oracle_vm_views
 
     refresh, update_placed = engine._refresh_vm_views, engine._update_placed
-    vm_key = utilization.sort_key(is_vm=True)
     want_hosts = {}
 
     def checked_refresh(state):
@@ -668,7 +666,8 @@ def assert_incremental_state_matches_full_recompute(cfg, steps=None,
             vm = state.vms[vm_id]
             assert (vm.util.resource, vm.util.memory_pct, vm.util.disk_pct,
                     vm.util.network_pct, vm.e_total_w) == (*util, e_total_w)
-            assert vm.walk_key == (*vm_key(vm), state.vm_index[vm_id])
+            assert vm.walk_key == (*utilization.vm_key(vm),
+                                   state.vm_index[vm_id])
 
     def recorded_update(state):
         # Runs at the end of placement, just before the power phase.
@@ -690,8 +689,7 @@ def assert_incremental_state_matches_full_recompute(cfg, steps=None,
             assert state.placed == [vm for vm in state.vms.values()
                                     if vm.id not in waiting]
             assert [vm.id for vm in state.walk] == [
-                vm.id for vm in utilization.utilization_sort(state.placed,
-                                                             is_vm=True)]
+                vm.id for vm in utilization.utilization_sort(state.placed)]
             for host in state.hosts:
                 figures, start_temp_c = want_hosts[host.id]
                 assert (host.cpu_util, host.reserved_mips, host.power_w,

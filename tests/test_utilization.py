@@ -24,15 +24,15 @@ def test_sort_empty():
 
 
 def test_sort_tasks_ascending():
-    items = [make_vm(i, resource=r) for i, r in enumerate([0.3, 0.1, 0.2])]
-    ordered = utilization_sort(items, is_vm=False)
-    assert [it.util.resource for it in ordered] == [0.1, 0.2, 0.3]
+    tasks = [task(i, mips) for i, mips in enumerate([300.0, 100.0, 200.0])]
+    ordered = sorted(task_views(tasks, (1000.0, 1024.0, 1e8)), key=TASK_KEY)
+    assert [view.resource for view in ordered] == [0.1, 0.2, 0.3]
 
 
 def test_sort_vm_memory_tiebreak_decreasing():
     a = make_vm(0, resource=0.5, mem=80.0, e_total=10.0)
     b = make_vm(1, resource=0.5, mem=40.0, e_total=10.0)
-    ordered = utilization_sort([b, a], is_vm=True)
+    ordered = utilization_sort([b, a])
     assert [vm.id for vm in ordered] == ["vm-0", "vm-1"]
 
 
@@ -40,7 +40,7 @@ def test_sort_vm_energy_primary():
     # equal utilization chain: energy ascending decides
     low = make_vm(0, resource=0.5, e_total=5.0)
     high = make_vm(1, resource=0.5, e_total=50.0)
-    ordered = utilization_sort([high, low], is_vm=True)
+    ordered = utilization_sort([high, low])
     assert [vm.id for vm in ordered] == ["vm-0", "vm-1"]
 
 
@@ -52,10 +52,9 @@ def test_sort_permutation_and_idempotent():
                      net=float(rng.choice([1.0, 9.0])),
                      e_total=float(rng.choice([3.0, 7.0])))
              for i in range(40)]
-    for is_vm in (False, True):
-        once = utilization_sort(items, is_vm)
-        assert sorted(v.id for v in once) == sorted(v.id for v in items)
-        assert utilization_sort(once, is_vm) == once
+    once = utilization_sort(items)
+    assert sorted(v.id for v in once) == sorted(v.id for v in items)
+    assert utilization_sort(once) == once
 
 
 # --- mapping ---------------------------------------------------------------
@@ -69,21 +68,26 @@ def walk(tasks, vms):
     """The engine's call: views against the VMs' spec means, views and VMs
     sorted into walk order, then mapped; returns (views, assignment)."""
     means = vm_means(vms)
-    views = utilization_sort(task_views(tasks, means))
-    return views, map_workloads(views, utilization_sort(vms, is_vm=True),
-                                means[0])
+    views = sorted(task_views(tasks, means), key=TASK_KEY)
+    return views, map_workloads(views, utilization_sort(vms), means[0])
+
+
+def unassigned(result):
+    """Workload ids of the tasks the walk left over, in walk order."""
+    placed = {i for i, _ in result.hits}
+    return [t.id for i, t in enumerate(result.ordered) if i not in placed]
 
 
 def test_map_single_suitable():
     vms = [make_vm(0)]
     _, result = walk([task(0, 100)], vms)
-    assert result.assigned == [("t-0", "vm-0")] and not result.unassigned
+    assert result.assigned == [("t-0", "vm-0")] and not unassigned(result)
 
 
 def test_map_infeasible_task_unassigned():
     vms = [make_vm(0, mips=200)]
     _, result = walk([task(0, 10_000)], vms)
-    assert result.unassigned == ["t-0"] and not result.assigned
+    assert unassigned(result) == ["t-0"] and not result.assigned
 
 
 def test_map_light_to_busy_heavy_to_idle():
@@ -150,12 +154,11 @@ def test_oracle_sort_agrees_with_library_sort():
                          net=float(rng.choice([1.0, 9.0])),
                          e_total=float(rng.choice([3.0, 7.0])))
                  for i in range(int(rng.integers(0, 8)))]
-        # Tasks ascend, VMs descend: the oracle's direction is is_vm.
-        for is_vm in (False, True):
-            assert utilization_sort(items, is_vm) \
-                == oracle_sort(items, is_vm, decreasing=is_vm)
+        # VMs descend by utilization after ascending by energy.
+        assert utilization_sort(items) \
+            == oracle_sort(items, True, decreasing=True)
         # Task views of tied tasks: TASK_KEY, the views' leading fields,
-        # orders them as the mapper's key and the oracle do.
+        # orders them as the oracle does.
         pick = task_rng.choice
         tasks = [Workload(id=f"t-{i}", length_mi=1000.0,
                           mips_requested=float(pick([100.0, 250.0])),
@@ -164,7 +167,7 @@ def test_oracle_sort_agrees_with_library_sort():
                           output_size_mb=float(pick([1.0, 9.0])))
                  for i in range(int(task_rng.integers(0, 8)))]
         views = task_views(tasks, (500.0, 1024.0, 1e8))
-        assert sorted(views, key=TASK_KEY) == utilization_sort(views) \
+        assert sorted(views, key=TASK_KEY) \
             == oracle_sort(views, False, decreasing=False)
 
 
@@ -173,11 +176,11 @@ def assert_walk_matches_oracle(tasks, vms):
     # The oracle sorts the views itself, so it gets them in input order.
     means = vm_means(vms)
     views = task_views(tasks, means)
-    got = map_workloads(utilization_sort(views),
-                        utilization_sort(vms, is_vm=True), means[0])
+    got = map_workloads(sorted(views, key=TASK_KEY), utilization_sort(vms),
+                        means[0])
     want_assigned, want_unassigned = oracle_map(views, vms)
     assert got.assigned == want_assigned
-    assert got.unassigned == want_unassigned
+    assert unassigned(got) == want_unassigned
 
 
 def test_oracle_equivalence_200_cases():
