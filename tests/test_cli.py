@@ -218,11 +218,10 @@ def _unreadable_inputs(tmp_path, case):
     """argv for one CLI command given an input it cannot read or parse, or
     an output path it cannot write."""
     missing_dir = tmp_path / "missing-dir"
-    sample = SAMPLE_TELEMETRY
     model = Path(__file__).parent / "data" / "model_v1.bin"
     if case == "predict-missing-model":
         return ["predict", "--model", str(tmp_path / "missing.bin"),
-                "--data", sample]
+                "--data", SAMPLE_TELEMETRY]
     if case == "simulate-out-below-a-file":
         below = tmp_path / "a-file"
         below.write_text("")
@@ -233,9 +232,9 @@ def _unreadable_inputs(tmp_path, case):
                 "--out", str(missing_dir / "m.bin")]
     # The shipped sample holds one record for each of six servers.
     if case == "predict-too-short-telemetry":
-        return ["predict", "--model", str(model), "--data", sample]
+        return ["predict", "--model", str(model), "--data", SAMPLE_TELEMETRY]
     if case == "train-predictor-too-short-telemetry":
-        return ["train-predictor", "--data", sample,
+        return ["train-predictor", "--data", SAMPLE_TELEMETRY,
                 "--out", str(tmp_path / "model.bin")]
     telemetry = tmp_path / "telemetry.csv"
     telemetry.write_bytes(",".join(traceio.CSV_COLUMNS).encode() + b"\n"

@@ -114,7 +114,7 @@ def test_config_round_trip(tmp_path):
         "2cb58911d524c9062d401fd9d73d98ed9713b53b95da7b2bb09e0383fb38bf6b"
 
 
-def test_config_digest_matches_sorted_json_oracle(tmp_path):
+def test_config_digest_matches_sorted_json_oracle():
     from oracles import oracle_config_dict, oracle_config_digest
     from test_engine import random_config
     rng = np.random.default_rng(2026)
@@ -137,9 +137,8 @@ def test_config_digest_matches_sorted_json_oracle(tmp_path):
         model.default_datacenter(seed=99, policy="thermal+utilization",
                                  workload=model.WorkloadGenConfig(count=120)),
     ]
-    for i, cfg in enumerate(configs):
-        oracle = oracle_config_dict(cfg)
-        assert model.config_to_dict(cfg) == oracle
+    for cfg in configs:
+        assert model.config_to_dict(cfg) == oracle_config_dict(cfg)
         assert model.config_digest(cfg) == oracle_config_digest(cfg) \
             == hashlib.sha256(json.dumps(
                 model.config_to_dict(cfg), sort_keys=True,
